@@ -219,10 +219,12 @@ class Trace:
 
 
 def _sample_dense(x, rng) -> int:
+    """Index drawn from x by inverse CDF over its positive entries, ascending."""
     u = rng.random()
     acc = 0.0
     last = 0
-    for i, xi in enumerate(x):
+    for i in np.asarray(x).nonzero()[0].tolist():
+        xi = x[i]
         if xi > 0.0:
             acc += xi
             last = i

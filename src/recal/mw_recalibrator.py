@@ -23,6 +23,10 @@ from .scoring import score
 # Outside this range the stored exponentials switch to log space.
 OVERFLOW_LIMIT = 1e300
 
+# mw_choose scans the i < j pairs in one block up to this many pairs,
+# and in row blocks of at most this many entries beyond it.
+PAIR_BLOCK = 65536
+
 
 def lifted_dimension(m: int) -> int:
     return 2 ** (m + 1) + 1
@@ -36,7 +40,8 @@ class MWState:
     exp(+-eta * sum_s loss_k^s) and reg holds exp(eta * sum_s loss_d^s).
     When any stored value leaves [1/OVERFLOW_LIMIT, OVERFLOW_LIMIT] the
     state switches to log mode and the same fields hold the exponents
-    themselves.
+    themselves.  The arrays mw_choose reads on every call (grid minus
+    label, grid scores, the pair-block layout) are built once here.
     """
 
     cfg: GameConfig
@@ -47,6 +52,22 @@ class MWState:
     reg: float = 1.0
     t: int = 0
     log_mode: bool = False
+    _grid_minus_y: np.ndarray = field(init=False, repr=False, compare=False)
+    _scores: np.ndarray = field(init=False, repr=False, compare=False)
+    _pre: np.ndarray = field(init=False, repr=False, compare=False)
+    _suf: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cfg = self.cfg
+        n = cfg.m + 1
+        grid = np.array(cfg.grid)
+        self._grid_minus_y = np.stack([grid - 0.0, grid - 1.0])
+        self._scores = np.array([cfg.score0, cfg.score1])
+        # Prefix/suffix product buffers; entry 0 stays 1.0.
+        self._pre = np.ones(n + 1)
+        self._suf = np.ones(n + 1)
+        self._pairs = np.triu_indices(n, 1) if n * (n - 1) // 2 <= PAIR_BLOCK else None
 
 
 def mw_init(cfg: GameConfig, T: int) -> MWState:
@@ -68,17 +89,22 @@ def _to_log_mode(state: MWState) -> None:
 
 
 def _loss_parts(cfg: GameConfig, x, q: float, y: int):
-    """Raw loss of playing distribution x: calibration block and regret."""
+    """Raw loss of playing distribution x: calibration block and regret.
+
+    Only the support of x contributes, visited in ascending order.
+    """
+    n = cfg.m + 1
+    if len(x) != n:
+        raise ValueError(f"x must have m+1 = {n} entries, got {len(x)}")
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0
     sq = score(cfg.rule, q, y)
-    cal = [0.0] * (cfg.m + 1)
+    cal = [0.0] * n
     reg = -sq
-    for k in range(cfg.m + 1):
+    for k in np.asarray(x).nonzero()[0].tolist():
         xk = x[k]
-        if xk:
-            cal[k] = xk * (grid[k] - y)
-            reg += xk * score_y[k]
+        cal[k] = xk * (grid[k] - y)
+        reg += xk * score_y[k]
     return cal, reg
 
 
@@ -160,42 +186,65 @@ def dp_weighted_loss(state: MWState, x, q: float, y: int) -> float:
     return (weighted * ginv + r) / (ginv + 1.0)
 
 
-def _vertex_losses(state: MWState, q: float, y: int):
-    """dp_weighted_loss of every point mass, in O(m) total."""
+def _vertex_losses(state: MWState, q: float) -> np.ndarray:
+    """dp_weighted_loss of every point mass under both labels, shape (2, m+1).
+
+    Row y holds ((i/m - y) * (pos_i - neg_i) * pre_i * suf_i
+    + reg * (score(i/m, y) - score(q, y))) / den, where pre_i and suf_i
+    are the products of pos_k + neg_k over k < i and k > i.  Every
+    elementwise expression keeps the left-to-right order of the scalar
+    formula, and multiply.accumulate multiplies sequentially, so each
+    entry carries the same bits as the scalar dynamic program.  Log
+    mode takes over when the full product overflows.
+    """
     cfg = state.cfg
-    grid = cfg.grid
-    score_y = cfg.score1 if y else cfg.score0
-    sq = score(cfg.rule, q, y)
-    n = cfg.m + 1
+    sq = np.array([[score(cfg.rule, q, 0)], [score(cfg.rule, q, 1)]])
     if not state.log_mode:
-        A = [p + ng for p, ng in zip(state.pos, state.neg)]
-        pre = [1.0] * n
-        running = 1.0
-        for k in range(n):
-            pre[k] = running
-            running *= A[k]
-        if math.isinf(running):
-            _to_log_mode(state)
-        else:
-            suf = [1.0] * n
-            running2 = 1.0
-            for k in range(n - 1, -1, -1):
-                suf[k] = running2
-                running2 *= A[k]
-            den = state.reg + running
-            return [
-                ((grid[j] - y) * (state.pos[j] - state.neg[j]) * pre[j] * suf[j]
-                 + state.reg * (score_y[j] - sq)) / den
-                for j in range(n)
-            ]
+        pos = np.array(state.pos)
+        neg = np.array(state.neg)
+        A = pos + neg
+        pre = state._pre
+        # Overflow is silent, as in scalar float arithmetic; an infinite
+        # full product is the log-mode signal.
+        with np.errstate(over="ignore"):
+            np.multiply.accumulate(A, out=pre[1:])
+            running = pre[-1]
+            if not math.isinf(running):
+                suf = state._suf
+                np.multiply.accumulate(A[::-1], out=suf[1:])
+                h = state._grid_minus_y * (pos - neg)
+                h *= pre[:-1]
+                h *= suf[-2::-1]
+                h += state.reg * (state._scores - sq)
+                h /= state.reg + running
+                return h
+        _to_log_mode(state)
     rho, g_log = _ratio_parts(state)
+    rho = np.array(rho)
     if g_log <= 0.0:
         g = math.exp(g_log)
-        return [((grid[j] - y) * rho[j] + (score_y[j] - sq) * g) / (1.0 + g)
-                for j in range(n)]
+        return (state._grid_minus_y * rho + (state._scores - sq) * g) / (1.0 + g)
     ginv = math.exp(-g_log)
-    return [((grid[j] - y) * rho[j] * ginv + (score_y[j] - sq)) / (ginv + 1.0)
-            for j in range(n)]
+    return (state._grid_minus_y * rho * ginv + (state._scores - sq)) / (ginv + 1.0)
+
+
+def _pair_blocks(state: MWState):
+    """(I, J) index arrays covering the pairs i < j in lexicographic order.
+
+    One block when there are at most PAIR_BLOCK pairs; otherwise
+    consecutive row blocks of at most PAIR_BLOCK mask entries each.
+    """
+    if state._pairs is not None:
+        return (state._pairs,)
+    n = state.cfg.m + 1
+    rows = max(1, PAIR_BLOCK // n)
+    return (_row_block_pairs(r0, min(n, r0 + rows), n) for r0 in range(0, n, rows))
+
+
+def _row_block_pairs(r0: int, r1: int, n: int):
+    I, J = np.nonzero(np.arange(n) > np.arange(r0, r1)[:, None])
+    I += r0
+    return I, J
 
 
 def mw_choose(state: MWState, q: float) -> np.ndarray:
@@ -203,34 +252,45 @@ def mw_choose(state: MWState, q: float) -> np.ndarray:
 
     Both label losses are linear in x, so the minimum over the simplex
     of their max is attained at a vertex or at a two-vertex mixture
-    that equalizes them; all O(m^2) such candidates are scanned
-    exactly.  Ties keep the grid point nearest to q.
+    that equalizes them; all O(m^2) such candidates are evaluated
+    exactly, as array operations.  The choice is the one a scalar scan
+    with strict < makes: the grid point nearest to q, unless a vertex
+    is strictly better (then the first best vertex, as argmin returns
+    the first minimum), unless a mixture of a pair i < j is strictly
+    better still (then the first best pair in lexicographic order).
+    This holds for finite losses, which every state built by mw_init
+    and mw_update has.  Temporaries stay O(PAIR_BLOCK).
     """
     n = state.cfg.m + 1
-    h0 = _vertex_losses(state, q, 0)
-    h1 = _vertex_losses(state, q, 1)
+    h0, h1 = _vertex_losses(state, q)
 
     j_star = nearest_grid_index(q, state.cfg.m)
-    best_val = max(h0[j_star], h1[j_star])
+    v = np.maximum(h0, h1)
+    best_val = v[j_star]
     best = (j_star, None, 0.0)
-    for j in range(n):
-        v = max(h0[j], h1[j])
-        if v < best_val:
-            best_val = v
-            best = (j, None, 0.0)
-    diff = [h0[j] - h1[j] for j in range(n)]
-    for i in range(n):
-        di = diff[i]
-        if di == 0.0:
+    k = v.argmin()
+    if v[k] < best_val:
+        best_val = v[k]
+        best = (k, None, 0.0)
+
+    diff = h0 - h1
+    for I, J in _pair_blocks(state):
+        dI = diff[I]
+        dJ = diff[J]
+        k = (dI * dJ < 0.0).nonzero()[0]
+        if not k.size:
             continue
-        for j in range(i + 1, n):
-            dj = diff[j]
-            if di * dj < 0.0:
-                t = dj / (dj - di)
-                v = t * h0[i] + (1.0 - t) * h0[j]
-                if v < best_val:
-                    best_val = v
-                    best = (i, j, t)
+        di = dI[k]
+        dj = dJ[k]
+        t = dj / (dj - di)
+        I = I[k]
+        J = J[k]
+        vp = t * h0[I] + (1.0 - t) * h0[J]
+        k = vp.argmin()
+        if vp[k] < best_val:
+            best_val = vp[k]
+            best = (I[k], J[k], t[k])
+
     x = np.zeros(n)
     i, j, t = best
     if j is None:

@@ -86,11 +86,13 @@ def _approach(cfg, a, b, q, is_zero):
                 ai * (gi - 1.0) + binv * (s1_tab[i] - sq1))
 
     f00, f01 = F(0)
-    assert f00 <= 0.0
+    if not f00 <= 0.0:
+        raise RuntimeError(f"oracle invariant f(0, 0) <= 0 violated: {f00}")
     if f01 <= 0.0:
         return point_mass(0), evals
     fm0, fm1 = F(m)
-    assert fm1 <= 0.0
+    if not fm1 <= 0.0:
+        raise RuntimeError(f"oracle invariant f(m, 1) <= 0 violated: {fm1}")
     if fm0 <= 0.0:
         return point_mass(m), evals
 
@@ -129,6 +131,8 @@ def approach_with_cost(cfg: GameConfig, theta: HalfspaceParam, q: float):
     """approach() plus the number of scalar f evaluations it used."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"forecast must lie in [0, 1], got {q}")
+    if not (np.all(np.abs(theta.a) <= 1.0) and 0.0 <= theta.b <= 1.0):
+        raise ValueError("theta must lie in K: |a_i| <= 1 and 0 <= b <= 1")
     is_zero = theta.b == 0.0 and not np.any(theta.a)
     return _approach(cfg, theta.a, theta.b, q, is_zero)
 

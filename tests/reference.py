@@ -4,6 +4,8 @@ Everything here is recomputed from first principles (dense enumeration,
 direct formula transcription) with no shortcuts, so the package's
 optimized code paths can be checked against independent math.  The
 dense forecaster is exponential in m and only usable for m <= ~12.
+The scalar MW pair scan (mw_choose_scan) is the loop-by-loop code that
+the vectorised mw_choose replaced; the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from recal.geometry import GameConfig
+from recal.geometry import GameConfig, nearest_grid_index
+from recal.mw_recalibrator import MWState, _ratio_parts, _to_log_mode
 from recal.scoring import score
 
 
@@ -73,3 +76,84 @@ class DenseMW:
 
     def update(self, x, q: float, y: int) -> None:
         self.weights = self.weights * np.exp(self.eta * self.lifted_loss(x, q, y))
+
+
+def vertex_losses_scan(state: MWState, q: float, y: int):
+    """dp_weighted_loss of every point mass for one label, scalar loops."""
+    cfg = state.cfg
+    grid = cfg.grid
+    score_y = cfg.score1 if y else cfg.score0
+    sq = score(cfg.rule, q, y)
+    n = cfg.m + 1
+    if not state.log_mode:
+        A = [p + ng for p, ng in zip(state.pos, state.neg)]
+        pre = [1.0] * n
+        running = 1.0
+        for k in range(n):
+            pre[k] = running
+            running *= A[k]
+        if math.isinf(running):
+            _to_log_mode(state)
+        else:
+            suf = [1.0] * n
+            running2 = 1.0
+            for k in range(n - 1, -1, -1):
+                suf[k] = running2
+                running2 *= A[k]
+            den = state.reg + running
+            return [
+                ((grid[j] - y) * (state.pos[j] - state.neg[j]) * pre[j] * suf[j]
+                 + state.reg * (score_y[j] - sq)) / den
+                for j in range(n)
+            ]
+    rho, g_log = _ratio_parts(state)
+    if g_log <= 0.0:
+        g = math.exp(g_log)
+        return [((grid[j] - y) * rho[j] + (score_y[j] - sq) * g) / (1.0 + g)
+                for j in range(n)]
+    ginv = math.exp(-g_log)
+    return [((grid[j] - y) * rho[j] * ginv + (score_y[j] - sq)) / (ginv + 1.0)
+            for j in range(n)]
+
+
+def mw_choose_scan(state: MWState, q: float) -> np.ndarray:
+    """Scalar O(m^2) pair scan: the test oracle for mw_choose.
+
+    Both label losses are linear in x, so the minimum over the simplex
+    of their max is attained at a vertex or at a two-vertex mixture
+    that equalizes them; all O(m^2) such candidates are scanned
+    exactly.  Ties keep the grid point nearest to q.
+    """
+    n = state.cfg.m + 1
+    h0 = vertex_losses_scan(state, q, 0)
+    h1 = vertex_losses_scan(state, q, 1)
+
+    j_star = nearest_grid_index(q, state.cfg.m)
+    best_val = max(h0[j_star], h1[j_star])
+    best = (j_star, None, 0.0)
+    for j in range(n):
+        v = max(h0[j], h1[j])
+        if v < best_val:
+            best_val = v
+            best = (j, None, 0.0)
+    diff = [h0[j] - h1[j] for j in range(n)]
+    for i in range(n):
+        di = diff[i]
+        if di == 0.0:
+            continue
+        for j in range(i + 1, n):
+            dj = diff[j]
+            if di * dj < 0.0:
+                t = dj / (dj - di)
+                v = t * h0[i] + (1.0 - t) * h0[j]
+                if v < best_val:
+                    best_val = v
+                    best = (i, j, t)
+    x = np.zeros(n)
+    i, j, t = best
+    if j is None:
+        x[i] = 1.0
+    else:
+        x[i] = t
+        x[j] = 1.0 - t
+    return x

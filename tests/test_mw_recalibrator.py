@@ -1,13 +1,17 @@
 """Multiplicative-weights forecaster: DP identities, log mode, minimax play."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from recal import harness, mw_recalibrator
 from recal.geometry import game_config, unchecked_game_config
+from recal.harness import ExperimentConfig, run_experiment
 from recal.mw_recalibrator import (
+    PAIR_BLOCK,
     MWState,
     _to_log_mode,
     dp_denominator,
@@ -20,7 +24,7 @@ from recal.mw_recalibrator import (
 )
 from recal.scoring import brier, log_clipped
 
-from .reference import DenseMW, lifted_max_reference
+from .reference import DenseMW, lifted_max_reference, mw_choose_scan
 
 
 def _one_hot(n: int, i: int) -> np.ndarray:
@@ -242,6 +246,137 @@ def test_choose_matches_lp_minimax(m):
             dp_weighted_loss(state, x, q, 0), dp_weighted_loss(state, x, q, 1)
         )
         assert achieved == pytest.approx(res.fun, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised minimax scan against the scalar scan
+# ---------------------------------------------------------------------------
+
+
+def _clone(state: MWState) -> MWState:
+    return replace(state, pos=list(state.pos), neg=list(state.neg))
+
+
+def _assert_same_choice(state: MWState, q: float) -> None:
+    fast, slow = _clone(state), _clone(state)
+    x_fast = mw_choose(fast, q)
+    x_slow = mw_choose_scan(slow, q)
+    assert x_fast.tobytes() == x_slow.tobytes(), (state.cfg.m, q, x_fast, x_slow)
+    assert fast.log_mode == slow.log_mode
+    assert (fast.pos, fast.neg, fast.reg) == (slow.pos, slow.neg, slow.reg)
+
+
+def _play(state: MWState, rounds: int, rng) -> None:
+    for _ in range(rounds):
+        x = mw_choose_scan(state, float(rng.random()))
+        mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
+
+
+def _differential_states(cfg, rng):
+    """Fresh, played, random-mixture, product-overflow and log-mode states."""
+    n = cfg.m + 1
+    yield mw_init(cfg, 200)  # all coordinates tied
+    for rounds in (3, 25):
+        state = mw_init(cfg, 200)
+        _play(state, rounds, rng)
+        yield state
+    state = mw_init(cfg, 200)
+    for _ in range(10):
+        mw_update(state, rng.dirichlet(np.ones(n)), float(rng.random()),
+                  int(rng.integers(0, 2)))
+    yield state
+    # every stored value in range, but their product overflows in choose
+    yield MWState(cfg=cfg, eta=0.1, T=100, pos=[1e200] * n, neg=[1.0] * n)
+    # a large eta drives the stored exponentials into log mode
+    state = MWState(cfg=cfg, eta=5.0, T=100, pos=[1.0] * n, neg=[1.0] * n)
+    _play(state, 10, rng)
+    yield state
+    while not state.log_mode:
+        mw_update(state, _one_hot(n, 0), float(rng.random()), 1)
+    yield state
+    _play(state, 3, rng)
+    yield state
+
+
+def test_choose_matches_scalar_scan_bitwise():
+    rng = np.random.default_rng(2024)
+    draws = 0
+    for m in range(1, 41):
+        for rule in (brier(), log_clipped(0.05)):
+            cfg = unchecked_game_config(m, rule)
+            qs = [i / m for i in range(m + 1)] + rng.random(4).tolist()
+            for state in _differential_states(cfg, rng):
+                for q in qs:
+                    _assert_same_choice(state, q)
+                    draws += 1
+    assert draws >= 10_000
+
+
+def test_choose_matches_scalar_scan_above_block_threshold():
+    m = 362
+    assert m * (m + 1) // 2 > PAIR_BLOCK
+    rng = np.random.default_rng(7)
+    cfg = unchecked_game_config(m, brier())
+    state = mw_init(cfg, 4096)
+    assert state._pairs is None
+    for q in (0.0, 0.5):
+        _assert_same_choice(state, q)
+    for _ in range(12):
+        x = np.zeros(m + 1)
+        i = int(rng.integers(0, m))
+        x[i], x[i + 1] = 0.5, 0.5
+        mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
+    for q in (0.0, 1.0, 100 / m, float(rng.random())):
+        _assert_same_choice(state, q)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_choose_row_blocks_match_scalar_scan(monkeypatch, block):
+    monkeypatch.setattr(mw_recalibrator, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for m in range(1, 21):
+        cfg = unchecked_game_config(m, log_clipped(0.05) if m % 2 else brier())
+        for state in _differential_states(cfg, rng):
+            if m * (m + 1) // 2 > block:
+                assert state._pairs is None
+            for q in (0.0, 1.0, float(rng.random())):
+                _assert_same_choice(state, q)
+
+
+@pytest.mark.parametrize("labels, oracle", [
+    ("periodic:0110", "clairvoyant:0.2"),
+    ("iid_bernoulli:0.3", "noisy_truth:0.1"),
+    ("adversarial_greedy", "constant:0.4"),
+])
+def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
+    cfg = ExperimentConfig(T=300, forecaster="mw", m=12, labels=labels,
+                           oracle=oracle, seed=5)
+    fast = run_experiment(cfg)
+    monkeypatch.setattr(harness, "mw_choose", mw_choose_scan)
+    slow = run_experiment(cfg)
+    assert fast.p == slow.p
+    assert fast.y == slow.y
+    assert fast.checkpoints == slow.checkpoints
+    assert fast.cum_payoff.cal.tobytes() == slow.cum_payoff.cal.tobytes()
+    assert fast.cum_payoff.reg == slow.cum_payoff.reg
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_update_rejects_wrong_length(size):
+    cfg = game_config(3, brier())
+    state = mw_init(cfg, 100)
+    x = np.full(size, 1.0 / size)
+    with pytest.raises(ValueError, match="m\\+1 = 4"):
+        mw_update(state, x, 0.3, 1)
+    with pytest.raises(ValueError, match="m\\+1 = 4"):
+        dp_weighted_loss(state, x, 0.3, 1)
+    assert state.t == 0
+    assert state.pos == [1.0] * 4 and state.neg == [1.0] * 4 and state.reg == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Halfspace oracle, OGD updates, and the predict/observe protocol."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import recal
 
 from recal.geometry import (
     HalfspaceParam,
@@ -16,6 +22,7 @@ from recal.geometry import (
 from recal.recalibrator import (
     ProtocolError,
     RecalibratorState,
+    _approach,
     approach,
     approach_with_cost,
     dual_set_diameter,
@@ -130,6 +137,68 @@ def test_approach_rejects_bad_q():
     theta = HalfspaceParam(np.zeros(11), 0.0)
     with pytest.raises(ValueError):
         approach(cfg, theta, 1.5)
+
+
+@pytest.mark.parametrize("a0, b", [
+    (0.0, -1.0), (0.0, 1.5), (1.5, 0.5), (-1.0 - 1e-12, 0.5), (math.nan, 0.5), (0.0, math.nan),
+])
+def test_approach_rejects_theta_outside_K(a0, b):
+    cfg = game_config(10, brier())
+    a = np.zeros(11)
+    a[3] = a0
+    theta = HalfspaceParam(a, b)
+    with pytest.raises(ValueError, match="theta must lie in K"):
+        approach(cfg, theta, 0.4)
+    with pytest.raises(ValueError, match="theta must lie in K"):
+        approach_with_cost(cfg, theta, 0.4)
+
+
+def test_approach_accepts_the_faces_of_K():
+    cfg = game_config(4, brier())
+    theta = HalfspaceParam(np.array([-1.0, 1.0, -1.0, 1.0, 1.0]), 1.0)
+    approach(cfg, theta, 0.4)
+    approach(cfg, HalfspaceParam(np.zeros(5), 0.0), 0.4)
+
+
+def test_oracle_endpoint_invariants_raise():
+    # b < 0 flips the sign of the regret term, so f(0, 0) > 0; the core
+    # below the boundary check must refuse instead of bisecting
+    cfg = game_config(4, brier())
+    with pytest.raises(RuntimeError, match=r"f\(0, 0\)"):
+        _approach(cfg, [0.0] * 5, -1.0, 0.5, False)
+    # at q = 0, f(0, 0) = 0 holds but f(m, 1) = -b/lam > 0
+    with pytest.raises(RuntimeError, match=r"f\(m, 1\)"):
+        _approach(cfg, [-1.0, 0.0, 0.0, 0.0, 0.0], -1.0, 0.0, False)
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+import numpy as np
+from recal.geometry import HalfspaceParam, game_config
+from recal.recalibrator import _approach, approach
+from recal.scoring import brier
+
+assert not __debug__ and sys.flags.optimize
+cfg = game_config(4, brier())
+for call, exc in (
+    (lambda: approach(cfg, HalfspaceParam(np.zeros(5), -1.0), 0.5), ValueError),
+    (lambda: _approach(cfg, [0.0] * 5, -1.0, 0.5, False), RuntimeError),
+):
+    try:
+        call()
+    except exc:
+        continue
+    sys.exit(f"no {exc.__name__} under -O")
+"""
+
+
+def test_invariants_hold_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(recal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------
