@@ -12,7 +12,6 @@ included for comparison, along with metrics and an experiment harness.
 from .scoring import (
     ScoringRule,
     brier,
-    extended_score,
     lipschitz_constant,
     log_clipped,
     parse_rule,
@@ -40,10 +39,8 @@ from .recalibrator import (
     approach,
     approach_with_cost,
     dual_set_diameter,
-    f_value,
     observe,
     ogd_learning_rate,
-    ogd_step,
     predict,
 )
 from .mw_recalibrator import (
@@ -77,15 +74,14 @@ from .harness import (
 )
 
 __all__ = [
-    "ScoringRule", "brier", "extended_score", "lipschitz_constant",
+    "ScoringRule", "brier", "lipschitz_constant",
     "log_clipped", "parse_rule", "regret_term", "score",
     "ForecastDistribution", "GameConfig", "HalfspaceParam", "PayoffVector",
     "dist_to_target", "dual_linear_min", "game_config", "min_grid_resolution",
     "nearest_grid_index", "payoff_vector", "point_mass", "project_onto_K",
     "unchecked_game_config",
     "ProtocolError", "RecalibratorState", "approach", "approach_with_cost",
-    "dual_set_diameter", "f_value", "observe", "ogd_learning_rate",
-    "ogd_step", "predict",
+    "dual_set_diameter", "observe", "ogd_learning_rate", "predict",
     "MWState", "dp_denominator", "dp_weighted_loss", "lifted_dimension",
     "lifted_max_coordinate", "mw_choose", "mw_init", "mw_update",
     "BucketStats", "default_regret_slack",

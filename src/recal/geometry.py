@@ -119,18 +119,31 @@ class PayoffVector:
         return float(np.abs(self.cal).sum())
 
 
-def payoff_vector(cfg: GameConfig, w: ForecastDistribution, q: float, y: int) -> PayoffVector:
-    """Payoff of playing w when the oracle said q and the label is y."""
-    cal = np.zeros(cfg.m + 1)
+def add_payoff(cfg: GameConfig, support, q: float, y: int, cal) -> float:
+    """Add the calibration block of one round's payoff into cal.
+
+    support is a tuple of (index, weight) pairs; cal[i] grows by
+    w_i * (i/m - y).  Returns the scaled regret coordinate
+    sum_i w_i * (score(i/m, y) - score(q, y)) / lam.
+    """
+    grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0
     sq = score(cfg.rule, q, y)
     reg = 0.0
-    for i, wi in w.support:
+    for i, wi in support:
+        cal[i] += wi * (grid[i] - y)
+        reg += wi * (score_y[i] - sq)
+    return reg / cfg.lam
+
+
+def payoff_vector(cfg: GameConfig, w: ForecastDistribution, q: float, y: int) -> PayoffVector:
+    """Payoff of playing w when the oracle said q and the label is y."""
+    for i, _ in w.support:
         if not 0 <= i <= cfg.m:
             raise ValueError(f"support index {i} outside grid 0..{cfg.m}")
-        cal[i] = wi * (cfg.grid[i] - y)
-        reg += wi * (score_y[i] - sq)
-    return PayoffVector(cal, reg / cfg.lam)
+    cal = np.zeros(cfg.m + 1)
+    reg = add_payoff(cfg, w.support, q, y, cal)
+    return PayoffVector(cal, reg)
 
 
 def dist_to_target(cfg: GameConfig, v: PayoffVector) -> float:

@@ -7,6 +7,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,15 +15,15 @@ from .geometry import (
     GameConfig,
     PayoffVector,
     ForecastDistribution,
+    add_payoff,
     dist_to_target,
     game_config,
     nearest_grid_index,
-    payoff_vector,
 )
 from .metrics import BucketStats, default_regret_slack
 from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
 from .recalibrator import RecalibratorState
-from .scoring import parse_rule, score
+from .scoring import parse_rule
 
 FORECASTERS = ("approach", "mw", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
@@ -164,17 +165,17 @@ def adversary_label(w: ForecastDistribution, theta, q: float,
                     cum_payoff: PayoffVector, t: int, cfg: GameConfig) -> int:
     """Label maximizing next-step average distance to the target set.
 
-    t is the number of completed rounds; ties resolve to y = 1.  The
+    w is any play with a support of (index, weight) pairs; t is the
+    number of completed rounds; ties resolve to y = 1.  The
     recalibrator's current parameter is observable but unused by this
-    greedy adversary.
+    greedy adversary, so callers may pass theta=None.
     """
     best_y = 1
     best_d = -math.inf
     for y in (1, 0):
-        v = payoff_vector(cfg, w, q, y)
-        avg = PayoffVector((cum_payoff.cal + v.cal) / (t + 1),
-                           (cum_payoff.reg + v.reg) / (t + 1))
-        d = dist_to_target(cfg, avg)
+        cal = cum_payoff.cal.copy()
+        reg = cum_payoff.reg + add_payoff(cfg, w.support, q, y, cal)
+        d = dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1)))
         if d > best_d:
             best_d = d
             best_y = y
@@ -218,19 +219,68 @@ class Trace:
         return self.checkpoints[-1]
 
 
-def _sample_dense(x, rng) -> int:
-    """Index drawn from x by inverse CDF over its positive entries, ascending."""
-    u = rng.random()
-    acc = 0.0
-    last = 0
-    for i in np.asarray(x).nonzero()[0].tolist():
-        xi = x[i]
-        if xi > 0.0:
-            acc += xi
-            last = i
+class _Play(NamedTuple):
+    """A play by its (index, weight) support, which need not be adjacent."""
+
+    support: tuple
+
+
+class _PassthroughForecaster:
+    """Plays the grid point nearest to each quote.
+
+    It also keeps the payoff ledger, the sum of every round's expected
+    payoff, which the MW forecaster reuses.  The calibration block is an
+    array, not a list as in RecalibratorState: a round adds to at most
+    two entries either way, and the adversary then copies the block
+    instead of converting m+1 list entries every round.
+    """
+
+    def __init__(self, cfg: GameConfig):
+        self.cfg = cfg
+        self._cum_cal = np.zeros(cfg.m + 1)
+        self._cum_reg = 0.0
+        self._support = ()
+
+    @property
+    def cum_payoff(self) -> PayoffVector:
+        return PayoffVector(self._cum_cal.copy(), self._cum_reg)
+
+    def predict(self, q: float):
+        i = nearest_grid_index(q, self.cfg.m)
+        self._support = ((i, 1.0),)
+        return self.cfg.grid[i], _Play(self._support)
+
+    def observe(self, q: float, y: int) -> None:
+        self._cum_reg += add_payoff(self.cfg, self._support, q, y, self._cum_cal)
+
+
+class _MWForecaster(_PassthroughForecaster):
+    """Plays mw_choose's distribution, samples a grid point from it by
+    inverse CDF over the support in ascending order, and feeds the
+    distribution to mw_update."""
+
+    def __init__(self, cfg: GameConfig, T: int, rng):
+        super().__init__(cfg)
+        self.state = mw_init(cfg, T)
+        self.rng = rng
+        self._x = None
+
+    def predict(self, q: float):
+        x = mw_choose(self.state, q)
+        weights = x.tolist()
+        self._support = tuple((k, weights[k]) for k in x.nonzero()[0].tolist())
+        self._x = x
+        u = self.rng.random()
+        acc = 0.0
+        for i, wi in self._support:
+            acc += wi
             if u < acc:
-                return i
-    return last
+                break
+        return self.cfg.grid[i], _Play(self._support)
+
+    def observe(self, q: float, y: int) -> None:
+        super().observe(q, y)
+        mw_update(self.state, self._x, q, y)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:
@@ -272,106 +322,43 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     stats = BucketStats(m)
     delta = default_regret_slack(rule, m)
     cp_set = set(checkpoint_schedule(T))
-    grid = gcfg.grid
     rng = np.random.default_rng(ss_forecaster)
+
+    if cfg.forecaster == "approach":
+        forecaster = RecalibratorState(gcfg, rng)
+    elif cfg.forecaster == "mw":
+        forecaster = _MWForecaster(gcfg, T, rng)
+    else:
+        forecaster = _PassthroughForecaster(gcfg)
 
     ps = trace.p
     ys_out = [] if adversarial else ys
     trace.y = ys_out
+    for t1 in range(1, T + 1):
+        q = qs[t1 - 1]
+        p, w = forecaster.predict(q)
+        if adversarial:
+            y = adversary_label(w, None, q, forecaster.cum_payoff, t1 - 1, gcfg)
+            ys_out.append(y)
+        else:
+            y = ys[t1 - 1]
+        ps.append(p)
+        stats.record(p, q, y, rule)
+        forecaster.observe(q, y)
+        if t1 in cp_set:
+            cum = forecaster.cum_payoff
+            trace.checkpoints.append(CheckpointMetrics(
+                t=t1,
+                calib_l1=stats.calibration_l1(),
+                calibration_rate=stats.calibration_rate(),
+                average_regret=stats.average_regret(),
+                recalibration_rate=stats.recalibration_rate(delta),
+                dist_to_target=dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
 
-    if cfg.forecaster == "approach":
-        state = RecalibratorState(gcfg, rng)
-        for t1 in range(1, T + 1):
-            q = qs[t1 - 1]
-            p, w = state.predict(q)
-            if adversarial:
-                y = adversary_label(w, state.theta, q, state.cum_payoff, t1 - 1, gcfg)
-                ys_out.append(y)
-            else:
-                y = ys[t1 - 1]
-            ps.append(p)
-            stats.record(p, q, y, rule)
-            state.observe(q, y)
-            if t1 in cp_set:
-                avg = state.average_payoff()
-                trace.checkpoints.append(CheckpointMetrics(
-                    t=t1,
-                    calib_l1=stats.calibration_l1(),
-                    calibration_rate=stats.calibration_rate(),
-                    average_regret=stats.average_regret(),
-                    recalibration_rate=stats.recalibration_rate(delta),
-                    dist_to_target=dist_to_target(gcfg, avg)))
-        trace.cum_payoff = state.cum_payoff
-    else:
-        # Shared dense payoff ledger for mw and passthrough.
-        cum_cal = np.zeros(m + 1)
-        cum_reg = 0.0
-        grid_arr = np.asarray(grid)
-        score0 = np.asarray(gcfg.score0)
-        score1 = np.asarray(gcfg.score1)
-        mstate = mw_init(gcfg, T) if cfg.forecaster == "mw" else None
-        for t1 in range(1, T + 1):
-            q = qs[t1 - 1]
-            if mstate is not None:
-                x = mw_choose(mstate, q)
-                i = _sample_dense(x, rng)
-            else:
-                i = nearest_grid_index(q, m)
-                x = None
-            p = grid[i]
-            played = x if x is not None else _one_hot(m, i)
-            if adversarial:
-                y = _adversary_label_dense(
-                    gcfg, played, q, cum_cal, cum_reg, t1 - 1,
-                    grid_arr, score0, score1)
-                ys_out.append(y)
-            else:
-                y = ys[t1 - 1]
-            ps.append(p)
-            stats.record(p, q, y, rule)
-            sq = score(rule, q, y)
-            score_y = score1 if y else score0
-            cum_cal += played * (grid_arr - y)
-            cum_reg += float(played @ score_y - sq) / gcfg.lam
-            if mstate is not None:
-                mw_update(mstate, x, q, y)
-            if t1 in cp_set:
-                avg = PayoffVector(cum_cal / t1, cum_reg / t1)
-                trace.checkpoints.append(CheckpointMetrics(
-                    t=t1,
-                    calib_l1=stats.calibration_l1(),
-                    calibration_rate=stats.calibration_rate(),
-                    average_regret=stats.average_regret(),
-                    recalibration_rate=stats.recalibration_rate(delta),
-                    dist_to_target=dist_to_target(gcfg, avg)))
-        trace.cum_payoff = PayoffVector(cum_cal, cum_reg)
-
+    trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
     trace.wall_time = time.perf_counter() - t_start
     return trace
-
-
-def _one_hot(m: int, i: int) -> np.ndarray:
-    x = np.zeros(m + 1)
-    x[i] = 1.0
-    return x
-
-
-def _adversary_label_dense(cfg: GameConfig, x, q: float, cum_cal, cum_reg: float,
-                           t: int, grid_arr, score0, score1) -> int:
-    """adversary_label for a dense play vector whose support may be non-adjacent."""
-    best_y = 1
-    best_d = -math.inf
-    for y in (1, 0):
-        score_y = score1 if y else score0
-        cal = x * (grid_arr - y)
-        reg = float(x @ score_y - score(cfg.rule, q, y)) / cfg.lam
-        avg = PayoffVector((cum_cal + cal) / (t + 1), (cum_reg + reg) / (t + 1))
-        d = dist_to_target(cfg, avg)
-        if d > best_d:
-            best_d = d
-            best_y = y
-    return best_y
 
 
 def fit_loglog_slope(points) -> tuple[float, float, float]:

@@ -82,9 +82,10 @@ def mw_init(cfg: GameConfig, T: int) -> MWState:
 
 
 def _to_log_mode(state: MWState) -> None:
-    state.pos = [math.log(v) for v in state.pos]
-    state.neg = [math.log(v) for v in state.neg]
-    state.reg = math.log(state.reg)
+    """Replace the stored exponentials by their logs, all or nothing."""
+    pos = [math.log(v) for v in state.pos]
+    neg = [math.log(v) for v in state.neg]
+    state.pos, state.neg, state.reg = pos, neg, math.log(state.reg)
     state.log_mode = True
 
 
@@ -302,32 +303,36 @@ def mw_choose(state: MWState, q: float) -> np.ndarray:
 
 
 def mw_update(state: MWState, x, q: float, y: int) -> MWState:
-    """Fold one round's loss into the stored exponentials."""
+    """Fold one round's loss into the stored exponentials.
+
+    When a linear-mode step would leave [1/OVERFLOW_LIMIT,
+    OVERFLOW_LIMIT], the state switches to log mode from its values
+    before the step and takes the step there, so no stored value can
+    have under- or overflowed to 0 or inf first.
+    """
     cal, r = _loss_parts(state.cfg, x, q, y)
     eta = state.eta
     if not state.log_mode:
-        overflow = False
+        lo, hi = 1.0 / OVERFLOW_LIMIT, OVERFLOW_LIMIT
+        pos, neg = state.pos[:], state.neg[:]
+        in_range = True
         for k, ck in enumerate(cal):
             if ck:
                 e = math.exp(eta * ck)
-                pk = state.pos[k] * e
-                nk = state.neg[k] / e
-                state.pos[k] = pk
-                state.neg[k] = nk
-                if not (1.0 / OVERFLOW_LIMIT < pk < OVERFLOW_LIMIT
-                        and 1.0 / OVERFLOW_LIMIT < nk < OVERFLOW_LIMIT):
-                    overflow = True
-        state.reg *= math.exp(eta * r)
-        if not 1.0 / OVERFLOW_LIMIT < state.reg < OVERFLOW_LIMIT:
-            overflow = True
-        if overflow:
-            _to_log_mode(state)
-    else:
-        for k, ck in enumerate(cal):
-            if ck:
-                state.pos[k] += eta * ck
-                state.neg[k] -= eta * ck
-        state.reg += eta * r
+                pos[k] *= e
+                neg[k] /= e
+                in_range = in_range and lo < pos[k] < hi and lo < neg[k] < hi
+        reg = state.reg * math.exp(eta * r)
+        if in_range and lo < reg < hi:
+            state.pos, state.neg, state.reg = pos, neg, reg
+            state.t += 1
+            return state
+        _to_log_mode(state)
+    for k, ck in enumerate(cal):
+        if ck:
+            state.pos[k] += eta * ck
+            state.neg[k] -= eta * ck
+    state.reg += eta * r
     state.t += 1
     return state
 

@@ -19,6 +19,7 @@ from .geometry import (
     GameConfig,
     HalfspaceParam,
     PayoffVector,
+    add_payoff,
     nearest_grid_index,
     point_mass,
     project_onto_K,
@@ -42,19 +43,6 @@ def dual_set_diameter(m: int) -> float:
 
 def ogd_learning_rate(m: int, t: int) -> float:
     return dual_set_diameter(m) / (GRAD_NORM_BOUND * math.sqrt(t))
-
-
-def f_value(cfg: GameConfig, theta: HalfspaceParam, q: float, i: int, y: int) -> float:
-    """Halfspace response of grid point i against label y.
-
-    f(i, y) = a_i * (i/m - y) + (b/lam) * (score(i/m, y) - score(q, y)),
-    the inner product <payoff of a point mass at i, theta>.
-    """
-    if not 0 <= i <= cfg.m:
-        raise ValueError(f"grid index {i} outside 0..{cfg.m}")
-    score_y = cfg.score1 if y else cfg.score0
-    sq = score(cfg.rule, q, y)
-    return theta.a[i] * (cfg.grid[i] - y) + (theta.b / cfg.lam) * (score_y[i] - sq)
 
 
 def _approach(cfg, a, b, q, is_zero):
@@ -171,10 +159,6 @@ class RecalibratorState:
     def cum_payoff(self) -> PayoffVector:
         return PayoffVector(np.array(self._cum_cal), self._cum_reg)
 
-    def average_payoff(self) -> PayoffVector:
-        n = max(1, self.t - 1)
-        return PayoffVector(np.array(self._cum_cal) / n, self._cum_reg / n)
-
     def predict(self, q: float):
         """Return (p, w): the sampled grid forecast and the distribution."""
         if self._pending is not None:
@@ -202,21 +186,13 @@ class RecalibratorState:
             raise ValueError(f"label must be 0 or 1, got {y}")
         self._pending = None
 
-        cfg = self.cfg
-        grid = cfg.grid
-        score_y = cfg.score1 if y else cfg.score0
-        sq = score(cfg.rule, q, y)
+        grid = self.cfg.grid
         eta = self._diameter / (GRAD_NORM_BOUND * math.sqrt(self.t))
-
+        reg = add_payoff(self.cfg, w.support, q, y, self._cum_cal)
         a = self._a
-        cum_cal = self._cum_cal
-        reg = 0.0
         for i, wi in w.support:
-            ci = wi * (grid[i] - y)
-            cum_cal[i] += ci
-            reg += wi * (score_y[i] - sq)
             old = a[i]
-            new = old + eta * ci
+            new = old + eta * (wi * (grid[i] - y))
             new = -1.0 if new < -1.0 else (1.0 if new > 1.0 else new)
             a[i] = new
             if old == 0.0:
@@ -224,30 +200,11 @@ class RecalibratorState:
                     self._nnz += 1
             elif new == 0.0:
                 self._nnz -= 1
-        reg /= cfg.lam
         self._cum_reg += reg
         new_b = self._b + eta * reg
         self._b = 0.0 if new_b < 0.0 else (1.0 if new_b > 1.0 else new_b)
         self.t += 1
         return self
-
-
-def ogd_step(state: RecalibratorState, observed_payoff: PayoffVector) -> HalfspaceParam:
-    """One projected gradient-ascent step on the observed payoff.
-
-    theta' = project_onto_K(theta + eta_t * payoff) with
-    eta_t = D / (G * sqrt(t)); D and G come from the box geometry of K
-    and the payoff norm bound.  Pure function of the state; the state's
-    own observe() applies the identical update in place.
-    """
-    if state.t < 1:
-        raise ValueError("round counter must be >= 1")
-    eta = ogd_learning_rate(state.cfg.m, state.t)
-    theta = state.theta
-    raw = np.empty(state.cfg.m + 2)
-    raw[:-1] = theta.a + eta * observed_payoff.cal
-    raw[-1] = theta.b + eta * observed_payoff.reg
-    return project_onto_K(raw)
 
 
 def predict(state: RecalibratorState, q: float):

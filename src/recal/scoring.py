@@ -68,15 +68,6 @@ def score(rule: ScoringRule, p: float, y: int) -> float:
     return -math.log(ph) if y else -math.log(1.0 - ph)
 
 
-def extended_score(rule: ScoringRule, p: float, q: float) -> float:
-    """Expected loss of forecast p when the label is Bernoulli(q).
-
-    Affine in q, which extends the rule from point labels to label
-    distributions.
-    """
-    return (1.0 - q) * score(rule, p, 0) + q * score(rule, p, 1)
-
-
 def regret_term(rule: ScoringRule, p: float, q: float, y: int) -> float:
     """Score difference score(p, y) - score(q, y).  May be negative."""
     return score(rule, p, y) - score(rule, q, y)

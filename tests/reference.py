@@ -6,6 +6,9 @@ optimized code paths can be checked against independent math.  The
 dense forecaster is exponential in m and only usable for m <= ~12.
 The scalar MW pair scan (mw_choose_scan) is the loop-by-loop code that
 the vectorised mw_choose replaced; the two must agree bit for bit.
+ogd_step, f_value and extended_score are the textbook forms of the
+recalibrator's update, its halfspace response and the rule's extension
+to label distributions; only tests use them.
 """
 
 from __future__ import annotations
@@ -15,14 +18,61 @@ from itertools import product
 
 import numpy as np
 
-from recal.geometry import GameConfig, nearest_grid_index
+from recal.geometry import (
+    GameConfig,
+    HalfspaceParam,
+    PayoffVector,
+    nearest_grid_index,
+    project_onto_K,
+)
 from recal.mw_recalibrator import MWState, _ratio_parts, _to_log_mode
-from recal.scoring import score
+from recal.recalibrator import RecalibratorState, ogd_learning_rate
+from recal.scoring import ScoringRule, score
 
 
 def round_half_up_index(p: float, m: int) -> int:
     """Nearest grid index to p with ties rounding up, clamped to [0, m]."""
     return min(m, max(0, math.floor(p * m + 0.5)))
+
+
+def extended_score(rule: ScoringRule, p: float, q: float) -> float:
+    """Expected loss of forecast p when the label is Bernoulli(q).
+
+    Affine in q, which extends the rule from point labels to label
+    distributions.
+    """
+    return (1.0 - q) * score(rule, p, 0) + q * score(rule, p, 1)
+
+
+def f_value(cfg: GameConfig, theta: HalfspaceParam, q: float, i: int, y: int) -> float:
+    """Halfspace response of grid point i against label y.
+
+    f(i, y) = a_i * (i/m - y) + (b/lam) * (score(i/m, y) - score(q, y)),
+    the inner product <payoff of a point mass at i, theta>.
+    """
+    if not 0 <= i <= cfg.m:
+        raise ValueError(f"grid index {i} outside 0..{cfg.m}")
+    score_y = cfg.score1 if y else cfg.score0
+    sq = score(cfg.rule, q, y)
+    return theta.a[i] * (cfg.grid[i] - y) + (theta.b / cfg.lam) * (score_y[i] - sq)
+
+
+def ogd_step(state: RecalibratorState, observed_payoff: PayoffVector) -> HalfspaceParam:
+    """One projected gradient-ascent step on the observed payoff.
+
+    theta' = project_onto_K(theta + eta_t * payoff) with
+    eta_t = D / (G * sqrt(t)); D and G come from the box geometry of K
+    and the payoff norm bound.  Pure function of the state; the state's
+    own observe() applies the identical update in place.
+    """
+    if state.t < 1:
+        raise ValueError("round counter must be >= 1")
+    eta = ogd_learning_rate(state.cfg.m, state.t)
+    theta = state.theta
+    raw = np.empty(state.cfg.m + 2)
+    raw[:-1] = theta.a + eta * observed_payoff.cal
+    raw[-1] = theta.b + eta * observed_payoff.reg
+    return project_onto_K(raw)
 
 
 def dense_loss_parts(cfg: GameConfig, x, q: float, y: int):

@@ -1,15 +1,18 @@
 """Experiment harness: configs, sources, adversary, runs, slopes, sweeps."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from recal.cli import _trace_csv_text
 from recal.geometry import (
+    ForecastDistribution,
     PayoffVector,
     dist_to_target,
     game_config,
-    payoff_vector,
     point_mass,
 )
 from recal.harness import (
@@ -26,7 +29,7 @@ from recal.harness import (
 )
 from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
 from recal.recalibrator import dual_set_diameter
-from recal.scoring import brier
+from recal.scoring import brier, score
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +169,38 @@ def test_adversary_tie_breaks_to_one():
     assert adversary_label(point_mass(2), None, 0.5, zero, 0, cfg) == 1
 
 
+def _plays(rng, m):
+    """One play of every shape a forecaster hands the adversary."""
+    i = int(rng.integers(0, m - 1))
+    j = int(rng.integers(i + 2, m + 1))
+    k = int(rng.integers(0, m + 1))
+    t = float(rng.uniform(0.05, 0.95))
+    return [point_mass(k),
+            ForecastDistribution(((i, t), (i + 1, 1.0 - t))),
+            SimpleNamespace(support=((k, 1.0),)),              # passthrough's one-hot
+            SimpleNamespace(support=((i, t), (j, 1.0 - t)))]   # mw's non-adjacent pair
+
+
 def test_adversary_is_argmax():
     rng = np.random.default_rng(23)
     cfg = game_config(6, brier())
+    grid = np.asarray(cfg.grid)
     for _ in range(100):
-        w = point_mass(int(rng.integers(0, 7)))
-        q = float(rng.random())
-        cum = PayoffVector(rng.normal(scale=0.2, size=7), float(rng.normal(scale=0.1)))
-        t = int(rng.integers(0, 50))
-        y = adversary_label(w, None, q, cum, t, cfg)
-        dists = {}
-        for lab in (0, 1):
-            v = payoff_vector(cfg, w, q, lab)
-            avg = PayoffVector((cum.cal + v.cal) / (t + 1), (cum.reg + v.reg) / (t + 1))
-            dists[lab] = dist_to_target(cfg, avg)
-        assert dists[y] >= dists[1 - y]
+        for w in _plays(rng, 6):
+            q = float(rng.random())
+            cum = PayoffVector(rng.normal(scale=0.2, size=7), float(rng.normal(scale=0.1)))
+            t = int(rng.integers(0, 50))
+            y = adversary_label(w, None, q, cum, t, cfg)
+            x = np.zeros(7)
+            for i, wi in w.support:
+                x[i] = wi
+            dists = {}
+            for lab in (0, 1):
+                score_y = np.asarray(cfg.score1 if lab else cfg.score0)
+                cal = cum.cal + x * (grid - lab)
+                reg = cum.reg + (x @ score_y - score(cfg.rule, q, lab)) / cfg.lam
+                dists[lab] = dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1)))
+            assert dists[y] >= dists[1 - y] - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +245,26 @@ def test_checkpoints_follow_schedule():
     trace = run_experiment(_cfg(T=20))
     assert [c.t for c in trace.checkpoints] == [1, 2, 4, 8, 16, 20]
     assert trace.final is trace.checkpoints[-1]
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(T=1024, m=8, forecaster="approach", rule="brier", oracle="clairvoyant:0.2",
+          labels="iid_bernoulli:0.5", seed=7),
+     "601e0b5579352c10c7dc05ce2234d32736c722ba9321a7ed462b98c82a45f38a"),
+    (dict(T=512, m=16, forecaster="approach", rule="log:0.1", oracle="constant:0.5",
+          labels="adversarial_greedy", seed=3),
+     "5e4a2d21f3c59b931b8ac5d5f3557f489c06e1a347069b011fc345e52ec4c42c"),
+    (dict(T=512, m=16, forecaster="passthrough", rule="log:0.1", oracle="constant:0.5",
+          labels="adversarial_greedy", seed=3),
+     "ef9f5e582c76890717f29310086085cf28a39ef48cdf57dc5c5898106d2d84f3"),
+    (dict(T=512, m=8, forecaster="passthrough", rule="brier", oracle="noisy_truth:0.1",
+          labels="periodic:0110", seed=5),
+     "2b66e821a69b3eec5ef626ab4c281378547b6022fc517c92d5a4b8984f2f2f84"),
+])
+def test_trace_bytes_are_pinned(kw, digest):
+    # approach and passthrough traces must not move by a single bit
+    text = _trace_csv_text(run_experiment(ExperimentConfig(**kw)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_passthrough_truth_on_grid_has_zero_regret():

@@ -24,7 +24,7 @@ from recal.mw_recalibrator import (
 )
 from recal.scoring import brier, log_clipped
 
-from .reference import DenseMW, lifted_max_reference, mw_choose_scan
+from .reference import DenseMW, dense_loss_parts, lifted_max_reference, mw_choose_scan
 
 
 def _one_hot(n: int, i: int) -> np.ndarray:
@@ -352,13 +352,46 @@ def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
     cfg = ExperimentConfig(T=300, forecaster="mw", m=12, labels=labels,
                            oracle=oracle, seed=5)
     fast = run_experiment(cfg)
-    monkeypatch.setattr(harness, "mw_choose", mw_choose_scan)
+    calls = []
+
+    def scan(state, q):
+        calls.append(q)
+        return mw_choose_scan(state, q)
+
+    # the binding _MWForecaster.predict looks up at call time
+    monkeypatch.setattr(harness, "mw_choose", scan)
     slow = run_experiment(cfg)
+    assert len(calls) == cfg.T
     assert fast.p == slow.p
     assert fast.y == slow.y
     assert fast.checkpoints == slow.checkpoints
     assert fast.cum_payoff.cal.tobytes() == slow.cum_payoff.cal.tobytes()
     assert fast.cum_payoff.reg == slow.cum_payoff.reg
+
+
+def test_log_switch_from_underflowing_step_is_whole():
+    # eta far above mw_init's drives reg from above 1/OVERFLOW_LIMIT to
+    # 0.0 in one linear step; the switch must start from the values
+    # before that step, or math.log(0.0) fails halfway through
+    cfg = unchecked_game_config(4, log_clipped(0.05))
+    eta = 80.0
+    state = MWState(cfg=cfg, eta=eta, T=100, pos=[1.0] * 5, neg=[1.0] * 5)
+    rng = np.random.default_rng(1)
+    cum_cal = np.zeros(5)
+    cum_reg = 0.0
+    for _ in range(40):
+        q = float(rng.random())
+        y = int(rng.integers(0, 2))
+        x = mw_choose(state, q)
+        mw_update(state, x, q, y)
+        cal, reg = dense_loss_parts(cfg, x, q, y)
+        cum_cal += cal
+        cum_reg += reg
+    assert state.log_mode
+    assert all(map(math.isfinite, state.pos + state.neg + [state.reg]))
+    assert np.allclose(state.pos, eta * cum_cal, rtol=0.0, atol=1e-9)
+    assert np.allclose(state.neg, -eta * cum_cal, rtol=0.0, atol=1e-9)
+    assert state.reg == pytest.approx(eta * cum_reg, rel=0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from recal.scoring import (
     ScoringRule,
     brier,
-    extended_score,
     lipschitz_constant,
     log_clipped,
     parse_rule,
     regret_term,
     score,
 )
+
+from .reference import extended_score
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
