@@ -17,6 +17,7 @@ from .scoring import (
     parse_rule,
     regret_term,
     score,
+    score_pair,
 )
 from .geometry import (
     ForecastDistribution,
@@ -75,7 +76,7 @@ from .harness import (
 
 __all__ = [
     "ScoringRule", "brier", "lipschitz_constant",
-    "log_clipped", "parse_rule", "regret_term", "score",
+    "log_clipped", "parse_rule", "regret_term", "score", "score_pair",
     "ForecastDistribution", "GameConfig", "HalfspaceParam", "PayoffVector",
     "dist_to_target", "dual_linear_min", "game_config", "min_grid_resolution",
     "nearest_grid_index", "payoff_vector", "point_mass", "project_onto_K",

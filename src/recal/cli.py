@@ -468,6 +468,32 @@ def _check_nearest_grid(quick: bool):
     return "nearest_grid_regret", ok, detail
 
 
+def _check_rounding_bound(quick: bool):
+    """Playing the grid point nearest q keeps the label-averaged regret
+    E_{y~Bern(q)}[S(round(q), y) - S(q, y)] within 2*L_s/m^2, on the
+    nearest_grid_regret grid."""
+    qs = np.linspace(0.0, 1.0, 100 if quick else 1000)
+    variants = (("brier", brier()), ("log:0.05", log_clipped(0.05)))
+    ms = range(3, 33)
+    worst = -math.inf
+    witness = ""
+    for name, rule in variants:
+        for m in ms:
+            bound = 2.0 * rule.lipschitz / (m * m)
+            for q in qs:
+                qf = float(q)
+                p = nearest_grid_index(qf, m) / m
+                expected = ((1.0 - qf) * regret_term(rule, p, qf, 0)
+                            + qf * regret_term(rule, p, qf, 1))
+                if expected / bound > worst:
+                    worst = expected / bound
+                    witness = f"m={m} rule={name} q={qf:.6f}"
+    ok = worst <= 1.0
+    checks = len(variants) * len(ms) * qs.size
+    detail = f"worst regret/bound {worst:.3f} over {checks} checks, at {witness}"
+    return "label_averaged_rounding", ok, detail
+
+
 def cmd_verify(args) -> int:
     seed = args.seed
     quick = bool(args.quick)
@@ -477,6 +503,7 @@ def cmd_verify(args) -> int:
         _check_rate_identity(seed + 2, quick),
         _check_mw_dp(seed + 3, quick),
         _check_nearest_grid(quick),
+        _check_rounding_bound(quick),
     ]
     failures = 0
     for name, ok, detail in results:

@@ -10,6 +10,7 @@ stream calibrated and no-regret simultaneously.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,10 +54,19 @@ def unchecked_game_config(m: int, rule: ScoringRule) -> GameConfig:
     """GameConfig without the grid-resolution check.
 
     Only for diagnostics on grids too coarse for the approachability
-    guarantee (the bookkeeping identities hold for any m >= 1).
+    guarantee (the bookkeeping identities hold for any m >= 1).  The
+    rule must still score the sure forecasts best on the grid:
+    score(0, 0) and score(1, 1) are the minima of their tables, which
+    the halfspace oracle's endpoint invariants rely on.
     """
     lam = max(1.0, rule.lipschitz)
     grid = tuple(i / m for i in range(m + 1))
+    score0 = tuple(score(rule, g, 0) for g in grid)
+    score1 = tuple(score(rule, g, 1) for g in grid)
+    if score0[0] > min(score0) or score1[m] > min(score1):
+        raise ValueError(
+            f"rule {rule.kind!r} does not score the sure forecasts best on the "
+            f"m={m} grid: score(0, 0) and score(1, 1) must be minimal")
     return GameConfig(
         m=m,
         rule=rule,
@@ -64,8 +74,8 @@ def unchecked_game_config(m: int, rule: ScoringRule) -> GameConfig:
         cal_threshold=1.0 / m,
         reg_threshold=4.0 * rule.lipschitz / (lam * m * m),
         grid=grid,
-        score0=tuple(score(rule, g, 0) for g in grid),
-        score1=tuple(score(rule, g, 1) for g in grid),
+        score0=score0,
+        score1=score1,
     )
 
 
@@ -100,11 +110,30 @@ class ForecastDistribution:
         if n == 2 and self.support[1][0] != self.support[0][0] + 1:
             raise ValueError("two-point support must use consecutive indices")
 
+    @classmethod
+    def pair(cls, j: int, w_lo: float, w_hi: float) -> "ForecastDistribution":
+        """The two-point distribution on (j, j+1), with the checks of
+        __post_init__ written out for two points; the oracle's mixtures
+        are built this way once per round."""
+        if w_lo < 0.0:
+            raise ValueError(f"negative weight {w_lo} at index {j}")
+        if w_hi < 0.0:
+            raise ValueError(f"negative weight {w_hi} at index {j + 1}")
+        total = w_lo + w_hi
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"weights sum to {total}, expected 1")
+        self = object.__new__(cls)
+        object.__setattr__(self, "support", ((j, w_lo), (j + 1, w_hi)))
+        return self
+
     def mean(self, m: int) -> float:
         return sum(w * i for i, w in self.support) / m
 
 
+@functools.cache
 def point_mass(i: int) -> ForecastDistribution:
+    """The point mass at grid index i.  Built on first use and shared,
+    which is safe because distributions are immutable."""
     return ForecastDistribution(((i, 1.0),))
 
 

@@ -23,7 +23,7 @@ from .geometry import (
 from .metrics import BucketStats, default_regret_slack
 from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
 from .recalibrator import RecalibratorState
-from .scoring import parse_rule
+from .scoring import parse_rule, score_pair
 
 FORECASTERS = ("approach", "mw", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
@@ -229,15 +229,17 @@ class _PassthroughForecaster:
     """Plays the grid point nearest to each quote.
 
     It also keeps the payoff ledger, the sum of every round's expected
-    payoff, which the MW forecaster reuses.  The calibration block is an
-    array, not a list as in RecalibratorState: a round adds to at most
-    two entries either way, and the adversary then copies the block
-    instead of converting m+1 list entries every round.
+    payoff, which the MW forecaster reuses.  As in RecalibratorState,
+    the calibration block is an array: a round adds to at most two
+    entries, and the adversary's snapshot is a copy of the block.
+    quote_scores, the round's (score(q, 0), score(q, 1)), is accepted
+    for the common protocol and not needed.
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
         self._cum_cal = np.zeros(cfg.m + 1)
+        self._cal_view = memoryview(self._cum_cal)
         self._cum_reg = 0.0
         self._support = ()
 
@@ -245,13 +247,13 @@ class _PassthroughForecaster:
     def cum_payoff(self) -> PayoffVector:
         return PayoffVector(self._cum_cal.copy(), self._cum_reg)
 
-    def predict(self, q: float):
+    def predict(self, q: float, quote_scores=None):
         i = nearest_grid_index(q, self.cfg.m)
         self._support = ((i, 1.0),)
         return self.cfg.grid[i], _Play(self._support)
 
     def observe(self, q: float, y: int) -> None:
-        self._cum_reg += add_payoff(self.cfg, self._support, q, y, self._cum_cal)
+        self._cum_reg += add_payoff(self.cfg, self._support, q, y, self._cal_view)
 
 
 class _MWForecaster(_PassthroughForecaster):
@@ -265,7 +267,7 @@ class _MWForecaster(_PassthroughForecaster):
         self.rng = rng
         self._x = None
 
-    def predict(self, q: float):
+    def predict(self, q: float, quote_scores=None):
         x = mw_choose(self.state, q)
         weights = x.tolist()
         self._support = tuple((k, weights[k]) for k in x.nonzero()[0].tolist())
@@ -334,16 +336,19 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     ps = trace.p
     ys_out = [] if adversarial else ys
     trace.y = ys_out
+    score_tables = (gcfg.score0, gcfg.score1)
     for t1 in range(1, T + 1):
         q = qs[t1 - 1]
-        p, w = forecaster.predict(q)
+        # The round's two quote scores, shared by the forecaster and stats.
+        quote_scores = score_pair(rule, q)
+        p, w = forecaster.predict(q, quote_scores)
         if adversarial:
             y = adversary_label(w, None, q, forecaster.cum_payoff, t1 - 1, gcfg)
             ys_out.append(y)
         else:
             y = ys[t1 - 1]
         ps.append(p)
-        stats.record(p, q, y, rule)
+        stats.record(p, q, y, rule, quote_scores[y], score_tables[y])
         forecaster.observe(q, y)
         if t1 in cp_set:
             cum = forecaster.cum_payoff

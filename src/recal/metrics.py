@@ -26,14 +26,22 @@ class BucketStats:
         self.cum_forecaster_score = 0.0
         self.cum_oracle_score = 0.0
 
-    def record(self, p: float, q: float, y: int, rule: ScoringRule) -> "BucketStats":
-        """Absorb one round: bucket the forecast and accumulate scores."""
+    def record(self, p: float, q: float, y: int, rule: ScoringRule,
+               q_score=None, grid_scores=None) -> "BucketStats":
+        """Absorb one round: bucket the forecast and accumulate scores.
+
+        A caller that already has the scores may pass them: q_score is
+        score(rule, q, y), and grid_scores is the table score(rule, i/m, y)
+        over the grid (GameConfig.score0 or score1), valid only when p
+        is a grid point.  They are the same floats the score calls give.
+        """
         i = nearest_grid_index(p, self.m)
         self.counts[i] += 1
         self.label_sums[i] += y
         self.T += 1
-        self.cum_forecaster_score += score(rule, p, y)
-        self.cum_oracle_score += score(rule, q, y)
+        self.cum_forecaster_score += (score(rule, p, y) if grid_scores is None
+                                      else grid_scores[i])
+        self.cum_oracle_score += score(rule, q, y) if q_score is None else q_score
         return self
 
     def calibration_l1(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GameConfig, nearest_grid_index
-from .scoring import score
+from .scoring import score, score_pair
 
 # Outside this range the stored exponentials switch to log space.
 OVERFLOW_LIMIT = 1e300
@@ -199,7 +199,7 @@ def _vertex_losses(state: MWState, q: float) -> np.ndarray:
     mode takes over when the full product overflows.
     """
     cfg = state.cfg
-    sq = np.array([[score(cfg.rule, q, 0)], [score(cfg.rule, q, 1)]])
+    sq = np.array(score_pair(cfg.rule, q)).reshape(2, 1)
     if not state.log_mode:
         pos = np.array(state.pos)
         neg = np.array(state.neg)

@@ -19,17 +19,18 @@ from .geometry import (
     GameConfig,
     HalfspaceParam,
     PayoffVector,
-    add_payoff,
     nearest_grid_index,
     point_mass,
-    project_onto_K,
 )
-from .scoring import score
+from .scoring import score_pair
 
 GRAD_NORM_BOUND = math.sqrt(2.0)
 
 # Mixture weights degenerate below this; fall back to a point mass.
 DEGENERATE_DELTA = 1e-12
+
+# Sampling uniforms drawn from the generator at a time.
+UNIFORM_BLOCK = 256
 
 
 class ProtocolError(RuntimeError):
@@ -45,12 +46,15 @@ def ogd_learning_rate(m: int, t: int) -> float:
     return dual_set_diameter(m) / (GRAD_NORM_BOUND * math.sqrt(t))
 
 
-def _approach(cfg, a, b, q, is_zero):
+def _approach(cfg, a, b, q, is_zero, quote_scores=None):
     """Shared oracle core over any indexable coefficient sequence a.
 
-    Returns (distribution, number of scalar f evaluations).  The search
-    keeps s(lo) >= 0 > s(hi) for s(i) = f(i,1) - f(i,0), which holds at
-    the endpoints whenever neither endpoint already answers.
+    quote_scores is the pair (score(q, 0), score(q, 1)) when the caller
+    already has it.  Returns (distribution, number of scalar f
+    evaluations).  The search keeps s(lo) >= 0 > s(hi) for
+    s(i) = f(i,1) - f(i,0), which holds at the endpoints whenever
+    neither endpoint already answers.  f(i, y) is evaluated inline as
+    a_i * (i/m - y) + (b/lam) * (score(i/m, y) - score(q, y)).
     """
     m = cfg.m
     if is_zero:
@@ -61,34 +65,33 @@ def _approach(cfg, a, b, q, is_zero):
     grid = cfg.grid
     s0_tab, s1_tab = cfg.score0, cfg.score1
     binv = b / cfg.lam
-    sq0 = score(cfg.rule, q, 0)
-    sq1 = score(cfg.rule, q, 1)
-    evals = 0
+    sq0, sq1 = score_pair(cfg.rule, q) if quote_scores is None else quote_scores
 
-    def F(i):
-        nonlocal evals
-        evals += 2
-        gi = grid[i]
-        ai = a[i]
-        return (ai * gi + binv * (s0_tab[i] - sq0),
-                ai * (gi - 1.0) + binv * (s1_tab[i] - sq1))
-
-    f00, f01 = F(0)
+    ai = a[0]
+    f00 = ai * grid[0] + binv * (s0_tab[0] - sq0)
+    f01 = ai * (grid[0] - 1.0) + binv * (s1_tab[0] - sq1)
     if not f00 <= 0.0:
         raise RuntimeError(f"oracle invariant f(0, 0) <= 0 violated: {f00}")
     if f01 <= 0.0:
-        return point_mass(0), evals
-    fm0, fm1 = F(m)
+        return point_mass(0), 2
+    ai = a[m]
+    fm0 = ai * grid[m] + binv * (s0_tab[m] - sq0)
+    fm1 = ai * (grid[m] - 1.0) + binv * (s1_tab[m] - sq1)
     if not fm1 <= 0.0:
         raise RuntimeError(f"oracle invariant f(m, 1) <= 0 violated: {fm1}")
     if fm0 <= 0.0:
-        return point_mass(m), evals
+        return point_mass(m), 4
 
     lo, flo0, flo1 = 0, f00, f01
     hi, fhi0, fhi1 = m, fm0, fm1
+    evals = 4
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        g0, g1 = F(mid)
+        gi = grid[mid]
+        ai = a[mid]
+        g0 = ai * gi + binv * (s0_tab[mid] - sq0)
+        g1 = ai * (gi - 1.0) + binv * (s1_tab[mid] - sq1)
+        evals += 2
         if g1 >= g0:
             lo, flo0, flo1 = mid, g0, g1
         else:
@@ -112,7 +115,7 @@ def _approach(cfg, a, b, q, is_zero):
         return point_mass(hi), evals
     if w_hi <= 0.0:
         return point_mass(lo), evals
-    return ForecastDistribution(((lo, w_lo), (hi, w_hi))), evals
+    return ForecastDistribution.pair(lo, w_lo, w_hi), evals
 
 
 def approach_with_cost(cfg: GameConfig, theta: HalfspaceParam, q: float):
@@ -136,7 +139,10 @@ class RecalibratorState:
 
     predict and observe must strictly alternate.  The cumulative payoff
     uses the expected distribution w_t, not the sampled point; realized
-    calibration of the sampled stream is measured separately.
+    calibration of the sampled stream is measured separately.  The
+    state owns its generator's stream: it draws the sampling uniforms
+    UNIFORM_BLOCK at a time and uses one per mixture round, the same
+    values one scalar draw per mixture round would give.
     """
 
     def __init__(self, cfg: GameConfig, rng):
@@ -146,10 +152,15 @@ class RecalibratorState:
         self._a = [0.0] * (cfg.m + 1)
         self._b = 0.0
         self._nnz = 0
-        self._cum_cal = [0.0] * (cfg.m + 1)
+        self._cum_cal = np.zeros(cfg.m + 1)
+        # Per-round updates go through a view: it adds Python floats
+        # (the same IEEE sums) at a fraction of numpy's per-item cost.
+        self._cal_view = memoryview(self._cum_cal)
         self._cum_reg = 0.0
         self._pending = None
         self._diameter = dual_set_diameter(cfg.m)
+        # Unused uniforms of the current block, the next one last.
+        self._uniforms = []
 
     @property
     def theta(self) -> HalfspaceParam:
@@ -157,42 +168,63 @@ class RecalibratorState:
 
     @property
     def cum_payoff(self) -> PayoffVector:
-        return PayoffVector(np.array(self._cum_cal), self._cum_reg)
+        return PayoffVector(self._cum_cal.copy(), self._cum_reg)
 
-    def predict(self, q: float):
-        """Return (p, w): the sampled grid forecast and the distribution."""
+    def predict(self, q: float, quote_scores=None):
+        """Return (p, w): the sampled grid forecast and the distribution.
+
+        quote_scores is the pair (score(q, 0), score(q, 1)) when the
+        caller already has it; observe reuses it.
+        """
         if self._pending is not None:
             raise ProtocolError("predict called twice without observe")
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"forecast must lie in [0, 1], got {q}")
+        if quote_scores is None:
+            quote_scores = score_pair(self.cfg.rule, q)
         is_zero = self._b == 0.0 and self._nnz == 0
-        w, _ = _approach(self.cfg, self._a, self._b, q, is_zero)
+        w, _ = _approach(self.cfg, self._a, self._b, q, is_zero, quote_scores)
         support = w.support
         if len(support) == 1:
             i = support[0][0]
         else:
-            i = support[0][0] if self.rng.random() < support[0][1] else support[1][0]
-        self._pending = (q, w)
+            uniforms = self._uniforms
+            if not uniforms:
+                uniforms = self._uniforms = self.rng.random(UNIFORM_BLOCK)[::-1].tolist()
+            i = support[0][0] if uniforms.pop() < support[0][1] else support[1][0]
+        self._pending = (q, w, quote_scores)
         return self.cfg.grid[i], w
 
     def observe(self, q: float, y: int) -> "RecalibratorState":
-        """Absorb the label: accumulate the expected payoff and step theta."""
+        """Absorb the label: accumulate the expected payoff and step theta.
+
+        One walk over the support adds the payoff (the formula of
+        geometry.add_payoff, term for term) and takes the projected
+        gradient step on a.
+        """
         if self._pending is None:
             raise ProtocolError("observe called without a pending predict")
-        pending_q, w = self._pending
+        pending_q, w, quote_scores = self._pending
         if q != pending_q:
             raise ProtocolError(f"observe q={q} does not match pending predict q={pending_q}")
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y}")
         self._pending = None
 
-        grid = self.cfg.grid
+        cfg = self.cfg
+        grid = cfg.grid
+        score_y = cfg.score1 if y else cfg.score0
+        sq = quote_scores[y]
         eta = self._diameter / (GRAD_NORM_BOUND * math.sqrt(self.t))
-        reg = add_payoff(self.cfg, w.support, q, y, self._cum_cal)
+        cal = self._cal_view
         a = self._a
+        reg = 0.0
         for i, wi in w.support:
+            c = wi * (grid[i] - y)
+            cal[i] += c
+            reg += wi * (score_y[i] - sq)
             old = a[i]
-            new = old + eta * (wi * (grid[i] - y))
+            new = old + eta * c
             new = -1.0 if new < -1.0 else (1.0 if new > 1.0 else new)
             a[i] = new
             if old == 0.0:
@@ -200,6 +232,7 @@ class RecalibratorState:
                     self._nnz += 1
             elif new == 0.0:
                 self._nnz -= 1
+        reg /= cfg.lam
         self._cum_reg += reg
         new_b = self._b + eta * reg
         self._b = 0.0 if new_b < 0.0 else (1.0 if new_b > 1.0 else new_b)

@@ -55,17 +55,22 @@ def parse_rule(spec: str) -> ScoringRule:
     raise ValueError(f"unknown scoring rule {spec!r}, expected 'brier' or 'log:<gamma>'")
 
 
-def score(rule: ScoringRule, p: float, y: int) -> float:
-    """Loss of forecast p against outcome y."""
+def score_pair(rule: ScoringRule, p: float) -> tuple[float, float]:
+    """Losses (S(p, 0), S(p, 1)) of forecast p against both outcomes."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"forecast must lie in [0, 1], got {p}")
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
     if rule.kind == "brier":
-        return (p - y) ** 2
+        return p ** 2, (p - 1) ** 2
     g = rule.clip_gamma
     ph = g if p < g else (1.0 - g if p > 1.0 - g else p)
-    return -math.log(ph) if y else -math.log(1.0 - ph)
+    return -math.log(1.0 - ph), -math.log(ph)
+
+
+def score(rule: ScoringRule, p: float, y: int) -> float:
+    """Loss of forecast p against outcome y."""
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y}")
+    return score_pair(rule, p)[1 if y else 0]
 
 
 def regret_term(rule: ScoringRule, p: float, q: float, y: int) -> float:

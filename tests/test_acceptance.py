@@ -236,6 +236,24 @@ def test_criterion_08_nearest_grid_pointwise_regret():
                    + (f"; first worst at {witness}" if witness else ""))
 
 
+def test_label_averaged_rounding_bound():
+    # criterion 08's grid with the label averaged out: the expected
+    # regret of rounding q to the grid, for y ~ Bernoulli(q), stays
+    # within 2 * L_s / m^2 (the per-label form above does not)
+    from .reference import extended_score
+
+    worst = 0.0
+    for rule in (brier(), log_clipped(0.05)):
+        for m in range(3, 33):
+            bound = 2.0 * rule.lipschitz / m**2
+            for q in np.linspace(0.0, 1.0, 1000):
+                q = float(q)
+                p = nearest_grid_index(q, m) / m
+                regret = extended_score(rule, p, q) - extended_score(rule, q, q)
+                worst = max(worst, regret / bound)
+    assert worst <= 1.0, f"worst expected regret / bound {worst:.4f}"
+
+
 def test_criterion_09_mw_dp_matches_enumeration():
     from .reference import DenseMW
 

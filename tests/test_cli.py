@@ -177,6 +177,7 @@ def test_verify_quick_reports_known_failure(capsys):
     assert statuses["rate_bucket_identity"].startswith("PASS")
     assert statuses["mw_dp_consistency"].startswith("PASS")
     assert statuses["nearest_grid_regret"].startswith("FAIL")
+    assert statuses["label_averaged_rounding"].startswith("PASS")
 
 
 def test_verify_detects_broken_oracle(capsys, monkeypatch):
@@ -186,6 +187,14 @@ def test_verify_detects_broken_oracle(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "halfspace_response: FAIL" in out
+
+
+def test_verify_detects_broken_rounding(capsys, monkeypatch):
+    # always rounding down to 0 breaks the label-averaged bound too
+    monkeypatch.setattr(cli, "nearest_grid_index", lambda p, m: 0)
+    code = cli.main(["verify", "--quick"])
+    assert code == 1
+    assert "label_averaged_rounding: FAIL" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Payoff vectors, the target set, distances, and the dual identity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,23 @@ from .reference import round_half_up_index
 # ---------------------------------------------------------------------------
 # Grid resolution and bucketing
 # ---------------------------------------------------------------------------
+
+
+def test_config_rejects_rules_that_do_not_score_sure_forecasts_best(monkeypatch):
+    import recal.geometry as geometry
+
+    # the sure forecasts must be minimal in their tables: the oracle's
+    # endpoint invariants f(0, 0) <= 0 and f(m, 1) <= 0 rest on it
+    unchecked_game_config(4, brier())
+    monkeypatch.setattr(geometry, "score", lambda rule, p, y: (p - 1 + y) ** 2)
+    with pytest.raises(ValueError, match="sure forecasts"):
+        unchecked_game_config(4, brier())
+    monkeypatch.setattr(geometry, "score", lambda rule, p, y: (p - 0.5) ** 2)
+    with pytest.raises(ValueError, match="sure forecasts"):
+        game_config(8, brier())
+    # a rule that ties the end of its table still passes
+    monkeypatch.setattr(geometry, "score", lambda rule, p, y: 0.0)
+    unchecked_game_config(4, brier())
 
 
 def test_min_grid_resolution():
@@ -113,6 +132,28 @@ def test_two_point_mean():
 def test_forecast_distribution_rejects(support):
     with pytest.raises(ValueError):
         ForecastDistribution(support)
+
+
+@pytest.mark.parametrize("j, w_lo, w_hi", [
+    (2, 0.25, 0.75), (0, 0.0, 1.0), (5, 1.0, 0.0), (3, 0.5, 0.5 + 5e-13),
+    (0, -0.1, 1.1), (4, 1.1, -0.1), (0, 0.6, 0.6), (1, 0.5, 0.5 - 2e-12),
+])
+def test_pair_makes_the_constructor_checks(j, w_lo, w_hi):
+    support = ((j, w_lo), (j + 1, w_hi))
+    try:
+        expected = ForecastDistribution(support)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ForecastDistribution.pair(j, w_lo, w_hi)
+    else:
+        w = ForecastDistribution.pair(j, w_lo, w_hi)
+        assert type(w) is ForecastDistribution
+        assert w == expected and w.support == support
+
+
+def test_point_masses_are_shared():
+    assert point_mass(7) is point_mass(7)
+    assert point_mass(7).support == ((7, 1.0),)
 
 
 # ---------------------------------------------------------------------------

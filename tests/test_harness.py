@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from recal.cli import _trace_csv_text
+from recal.cli import main as cli_main
 from recal.geometry import (
     ForecastDistribution,
     PayoffVector,
@@ -260,11 +261,29 @@ def test_checkpoints_follow_schedule():
     (dict(T=512, m=8, forecaster="passthrough", rule="brier", oracle="noisy_truth:0.1",
           labels="periodic:0110", seed=5),
      "2b66e821a69b3eec5ef626ab4c281378547b6022fc517c92d5a4b8984f2f2f84"),
+    # nearly every round a two-point mixture (1,999 of 2,048)
+    (dict(T=2048, m=64, forecaster="approach", rule="brier", oracle="clairvoyant:0.2",
+          labels="iid_bernoulli:0.5", seed=11),
+     "964f53894e717896de9ca0f2e9be3ef915dc0c559b700a85e7348f292d44a9f6"),
+    # ten bisection steps a round
+    (dict(T=1024, m=1024, forecaster="approach", rule="log:0.05", oracle="noisy_truth:0.1",
+          labels="iid_bernoulli:0.3", seed=13),
+     "70161802805d30a516084bbe2e90d7b101bfb575808eabf761c1c19a24880d3f"),
 ])
 def test_trace_bytes_are_pinned(kw, digest):
     # approach and passthrough traces must not move by a single bit
     text = _trace_csv_text(run_experiment(ExperimentConfig(**kw)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sweep_rows_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    code = cli_main(["sweep", "--T-grid", "32,64,128,256", "--exponent", "0.3333333333333333",
+                     "--seeds", "3", "--seed", "2", "--oracle", "noisy_truth:0.2",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+            == "0e38391e9d0805d5612459f36d97d40a895ec4fef817f513e15d635c03708587")
 
 
 def test_passthrough_truth_on_grid_has_zero_regret():

@@ -14,12 +14,16 @@ import recal
 from recal.geometry import (
     HalfspaceParam,
     PayoffVector,
+    add_payoff,
     game_config,
     payoff_vector,
     point_mass,
     unchecked_game_config,
 )
+from recal.metrics import BucketStats
 from recal.recalibrator import (
+    DEGENERATE_DELTA,
+    UNIFORM_BLOCK,
     ProtocolError,
     RecalibratorState,
     _approach,
@@ -30,9 +34,9 @@ from recal.recalibrator import (
     ogd_learning_rate,
     predict,
 )
-from recal.scoring import brier, log_clipped
+from recal.scoring import brier, log_clipped, score_pair
 
-from .reference import f_value, ogd_step
+from .reference import ScalarRecalibratorState, approach_scan, f_value, ogd_step
 
 
 def _random_theta(rng, m: int) -> HalfspaceParam:
@@ -373,3 +377,141 @@ def test_perfect_grid_oracle_has_zero_regret_contribution():
             v = payoff_vector(cfg, w, q, 1)
             assert v.reg == 0.0
         state.observe(q, int(rng.integers(0, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The fused round against the unfused reference
+# ---------------------------------------------------------------------------
+
+
+def _scan_draws(rng, cfg):
+    """(a, b, q, is_zero) draws for one config: random theta at scales
+    down to where mixtures degenerate, zero theta, one-hot theta and
+    quotes on the grid and at its ends."""
+    m = cfg.m
+    for _ in range(75):
+        scale = (1.0, 1.0, 1e-3, 1e-11, 1e-13, 1e-15)[int(rng.integers(0, 6))]
+        a = (scale * rng.uniform(-1.0, 1.0, m + 1)).tolist()
+        b = scale * float(rng.uniform(0.0, 1.0))
+        kind = rng.random()
+        if kind < 0.05:
+            a, b = [0.0] * (m + 1), 0.0
+        elif kind < 0.15:
+            a = [0.0] * (m + 1)
+            a[int(rng.integers(0, m + 1))] = float(rng.choice([-1.0, 1.0]))
+        elif kind < 0.2:
+            b = 0.0
+        u = rng.random()
+        q = float(rng.integers(0, m + 1)) / m if u < 0.2 else (
+            float(rng.integers(0, 2)) if u < 0.3 else float(rng.random()))
+        yield a, b, q, b == 0.0 and not any(a)
+
+
+def test_oracle_matches_scan_bitwise():
+    rng = np.random.default_rng(31)
+    cases = {"zero": 0, "endpoint": 0, "interior": 0, "mixture": 0}
+    n = 0
+    for rule in (brier(), log_clipped(0.05)):
+        for m in list(range(1, 71)) + [1024]:
+            cfg = unchecked_game_config(m, rule)
+            for a, b, q, is_zero in _scan_draws(rng, cfg):
+                w, evals = _approach(cfg, a, b, q, is_zero)
+                w_ref, evals_ref = approach_scan(cfg, a, b, q, is_zero)
+                assert (w.support, evals) == (w_ref.support, evals_ref), (m, rule, q)
+                # == on floats would pass -0.0 for 0.0; compare the bits too
+                assert repr(w.support) == repr(w_ref.support)
+                n += 1
+                if evals == 0:
+                    cases["zero"] += 1
+                elif len(w.support) == 2:
+                    cases["mixture"] += 1
+                elif evals <= 4:
+                    cases["endpoint"] += 1
+                else:
+                    cases["interior"] += 1
+    assert n >= 10_000
+    assert min(cases.values()) >= 100, cases
+
+
+def test_oracle_matches_scan_on_degenerate_mixtures():
+    # a = (-1/2, 0, ..., 0, -eps at k, +eps ...): the bisection ends on
+    # (k, k+1) with |delta| ~ 2 eps, below DEGENERATE_DELTA, so both
+    # oracles fall back to a point mass instead of dividing by delta
+    for rule in (brier(), log_clipped(0.05)):
+        for m in (9, 33, 64, 1024):
+            cfg = unchecked_game_config(m, rule)
+            for k in (1, m // 3, m - 2):
+                a = [0.0] * (m + 1)
+                a[0] = -0.5
+                a[k] = -1e-14
+                a[k + 1:] = [1e-13] * (m - k)
+                w, evals = _approach(cfg, a, 0.0, 0.5, False)
+                w_ref, evals_ref = approach_scan(cfg, a, 0.0, 0.5, False)
+                assert (w.support, evals) == (w_ref.support, evals_ref)
+                assert len(w.support) == 1 and w.support[0][0] in (k, k + 1)
+                f_lo0, f_lo1 = a[k] * cfg.grid[k], a[k] * (cfg.grid[k] - 1.0)
+                f_hi0, f_hi1 = a[k + 1] * cfg.grid[k + 1], a[k + 1] * (cfg.grid[k + 1] - 1.0)
+                assert abs(f_lo0 - f_hi0 - f_lo1 + f_hi1) < DEGENERATE_DELTA
+
+
+def _play_pair(cfg, T, seed):
+    """Play RecalibratorState through the round loop's calls (shared quote
+    scores) and ScalarRecalibratorState through the plain ones."""
+    rng = np.random.default_rng(seed)
+    fast, slow = RecalibratorState(cfg, seed), ScalarRecalibratorState(cfg, seed)
+    fast_stats, slow_stats = BucketStats(cfg.m), BucketStats(cfg.m)
+    tables = (cfg.score0, cfg.score1)
+    mixtures = 0
+    for t in range(T):
+        y = int(rng.random() < 0.5)
+        q = float(rng.random()) if t % 3 == 0 else 0.2 + 0.6 * y
+        quote_scores = score_pair(cfg.rule, q)
+        p, w = fast.predict(q, quote_scores)
+        p_ref, w_ref = slow.predict(q)
+        assert (p, w.support) == (p_ref, w_ref.support), t
+        mixtures += len(w.support) == 2
+        fast_stats.record(p, q, y, cfg.rule, quote_scores[y], tables[y])
+        slow_stats.record(p_ref, q, y, cfg.rule)
+        fast.observe(q, y)
+        slow.observe(q, y)
+        assert fast._a == slow._a and fast._b == slow._b and fast._nnz == slow._nnz
+    return fast, slow, fast_stats, slow_stats, mixtures
+
+
+@pytest.mark.parametrize("rule,m", [(brier(), 64), (log_clipped(0.05), 33)])
+def test_state_matches_scalar_reference(rule, m):
+    cfg = game_config(m, rule)
+    fast, slow, fast_stats, slow_stats, mixtures = _play_pair(cfg, 2000, 17)
+    assert mixtures > 2 * UNIFORM_BLOCK  # crosses block boundaries
+    assert np.array_equal(fast.theta.a, slow.theta.a) and fast.theta.b == slow.theta.b
+    v, v_ref = fast.cum_payoff, slow.cum_payoff
+    assert np.array_equal(v.cal, v_ref.cal) and v.reg == v_ref.reg
+    assert fast.t == slow.t
+    for field in ("counts", "label_sums", "T", "cum_forecaster_score", "cum_oracle_score"):
+        assert getattr(fast_stats, field) == getattr(slow_stats, field), field
+
+
+def test_fused_observe_matches_add_payoff_bitwise():
+    # observe's single support walk must add exactly add_payoff's terms
+    for rule, m in ((brier(), 16), (log_clipped(0.1), 17)):
+        cfg = game_config(m, rule)
+        state = RecalibratorState(cfg, 3)
+        cal = np.zeros(m + 1)
+        reg = 0.0
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            q = float(rng.random())
+            y = int(rng.integers(0, 2))
+            _, w = state.predict(q)
+            reg += add_payoff(cfg, w.support, q, y, cal)
+            state.observe(q, y)
+            assert state.cum_payoff.reg == reg
+        assert np.array_equal(state.cum_payoff.cal, cal)
+
+
+def test_block_uniforms_equal_scalar_draws():
+    # two successive blocks, so the boundary between them is covered too
+    blocked = np.random.default_rng(99)
+    draws = blocked.random(UNIFORM_BLOCK).tolist() + blocked.random(UNIFORM_BLOCK).tolist()
+    scalar = np.random.default_rng(99)
+    assert draws == [scalar.random() for _ in range(2 * UNIFORM_BLOCK)]
