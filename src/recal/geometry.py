@@ -148,16 +148,18 @@ class PayoffVector:
         return float(np.abs(self.cal).sum())
 
 
-def add_payoff(cfg: GameConfig, support, q: float, y: int, cal) -> float:
+def add_payoff(cfg: GameConfig, support, q: float, y: int, cal, sq=None) -> float:
     """Add the calibration block of one round's payoff into cal.
 
     support is a tuple of (index, weight) pairs; cal[i] grows by
     w_i * (i/m - y).  Returns the scaled regret coordinate
-    sum_i w_i * (score(i/m, y) - score(q, y)) / lam.
+    sum_i w_i * (score(i/m, y) - score(q, y)) / lam.  sq is
+    score(q, y) when the caller already has it.
     """
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0
-    sq = score(cfg.rule, q, y)
+    if sq is None:
+        sq = score(cfg.rule, q, y)
     reg = 0.0
     for i, wi in support:
         cal[i] += wi * (grid[i] - y)

@@ -161,6 +161,41 @@ def make_oracle(spec: str, seed=None) -> OracleSource:
     raise ConfigError(f"unknown oracle {kind!r}")
 
 
+def _greedy_label(support, quote_scores, cal, reg: float, l1: float, t: int,
+                  cfg: GameConfig) -> tuple[int, float]:
+    """The greedy adversary: the label maximizing next-step average
+    distance to the target set, and the ledger's l1 norm after it.
+
+    cal and reg are the payoff ledger after t completed rounds, read and
+    not copied, and l1 is the l1 norm of cal; the caller carries the
+    returned norm into the next round.  support is the play's
+    (index, weight) pairs with distinct indices and quote_scores the
+    pair (score(q, 0), score(q, 1)).  Each label's distance is
+    dist_to_target's formula, with the changed entries' terms swapped
+    in l1, so a round costs O(|support|).  Ties resolve to y = 1.
+    """
+    grid = cfg.grid
+    n = t + 1
+    best_y = 1
+    best_d = -math.inf
+    best_l1 = l1
+    for y in (1, 0):
+        score_y = cfg.score1 if y else cfg.score0
+        sq = quote_scores[y]
+        l1_y = l1
+        r = 0.0
+        for i, wi in support:
+            c = cal[i]
+            l1_y += abs(c + wi * (grid[i] - y)) - abs(c)
+            r += wi * (score_y[i] - sq)
+        cal_excess = l1_y / n - cfg.cal_threshold
+        reg_excess = (reg + r / cfg.lam) / n - cfg.reg_threshold
+        d = (cal_excess if cal_excess > 0.0 else 0.0) + (reg_excess if reg_excess > 0.0 else 0.0)
+        if d > best_d:
+            best_y, best_d, best_l1 = y, d, l1_y
+    return best_y, best_l1
+
+
 def adversary_label(w: ForecastDistribution, theta, q: float,
                     cum_payoff: PayoffVector, t: int, cfg: GameConfig) -> int:
     """Label maximizing next-step average distance to the target set.
@@ -168,18 +203,16 @@ def adversary_label(w: ForecastDistribution, theta, q: float,
     w is any play with a support of (index, weight) pairs; t is the
     number of completed rounds; ties resolve to y = 1.  The
     recalibrator's current parameter is observable but unused by this
-    greedy adversary, so callers may pass theta=None.
+    greedy adversary, so callers may pass theta=None.  This is
+    _greedy_label with the ledger's l1 norm computed here.
     """
-    best_y = 1
-    best_d = -math.inf
-    for y in (1, 0):
-        cal = cum_payoff.cal.copy()
-        reg = cum_payoff.reg + add_payoff(cfg, w.support, q, y, cal)
-        d = dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1)))
-        if d > best_d:
-            best_d = d
-            best_y = y
-    return best_y
+    if len(cum_payoff.cal) != cfg.m + 1:
+        raise ValueError(f"ledger must have m+1 = {cfg.m + 1} entries, "
+                         f"got {len(cum_payoff.cal)}")
+    if t < 0:
+        raise ValueError(f"completed rounds must be nonnegative, got {t}")
+    return _greedy_label(w.support, score_pair(cfg.rule, q), cum_payoff.cal,
+                         cum_payoff.reg, cum_payoff.cal_l1(), t, cfg)[0]
 
 
 def checkpoint_schedule(T: int) -> list[int]:
@@ -230,30 +263,38 @@ class _PassthroughForecaster:
 
     It also keeps the payoff ledger, the sum of every round's expected
     payoff, which the MW forecaster reuses.  As in RecalibratorState,
-    the calibration block is an array: a round adds to at most two
-    entries, and the adversary's snapshot is a copy of the block.
-    quote_scores, the round's (score(q, 0), score(q, 1)), is accepted
-    for the common protocol and not needed.
+    the calibration block is an array that a round adds to through a
+    view, ledger is a read-only view of it and cum_reg the regret
+    coordinate, and predict keeps quote_scores, the round's
+    (score(q, 0), score(q, 1)), for observe.
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
         self._cum_cal = np.zeros(cfg.m + 1)
         self._cal_view = memoryview(self._cum_cal)
-        self._cum_reg = 0.0
+        self.ledger = self._cal_view.toreadonly()
+        self.cum_reg = 0.0
         self._support = ()
+        self._quote_scores = None
 
     @property
     def cum_payoff(self) -> PayoffVector:
-        return PayoffVector(self._cum_cal.copy(), self._cum_reg)
+        return PayoffVector(self._cum_cal.copy(), self.cum_reg)
+
+    def _keep(self, q: float, support, quote_scores):
+        """Keep the round's play and quote scores for observe."""
+        self._support = support
+        self._quote_scores = score_pair(self.cfg.rule, q) if quote_scores is None else quote_scores
 
     def predict(self, q: float, quote_scores=None):
         i = nearest_grid_index(q, self.cfg.m)
-        self._support = ((i, 1.0),)
+        self._keep(q, ((i, 1.0),), quote_scores)
         return self.cfg.grid[i], _Play(self._support)
 
     def observe(self, q: float, y: int) -> None:
-        self._cum_reg += add_payoff(self.cfg, self._support, q, y, self._cal_view)
+        self.cum_reg += add_payoff(self.cfg, self._support, q, y, self._cal_view,
+                                   self._quote_scores[y])
 
 
 class _MWForecaster(_PassthroughForecaster):
@@ -270,7 +311,7 @@ class _MWForecaster(_PassthroughForecaster):
     def predict(self, q: float, quote_scores=None):
         x = mw_choose(self.state, q)
         weights = x.tolist()
-        self._support = tuple((k, weights[k]) for k in x.nonzero()[0].tolist())
+        self._keep(q, tuple((k, weights[k]) for k in x.nonzero()[0].tolist()), quote_scores)
         self._x = x
         u = self.rng.random()
         acc = 0.0
@@ -337,13 +378,18 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     ys_out = [] if adversarial else ys
     trace.y = ys_out
     score_tables = (gcfg.score0, gcfg.score1)
+    # The greedy adversary reads the live ledger and carries its l1 norm.
+    ledger = forecaster.ledger
+    ledger_l1 = 0.0
     for t1 in range(1, T + 1):
         q = qs[t1 - 1]
-        # The round's two quote scores, shared by the forecaster and stats.
+        # The round's two quote scores, shared by the forecaster, the
+        # adversary and stats.
         quote_scores = score_pair(rule, q)
         p, w = forecaster.predict(q, quote_scores)
         if adversarial:
-            y = adversary_label(w, None, q, forecaster.cum_payoff, t1 - 1, gcfg)
+            y, ledger_l1 = _greedy_label(w.support, quote_scores, ledger, forecaster.cum_reg,
+                                         ledger_l1, t1 - 1, gcfg)
             ys_out.append(y)
         else:
             y = ys[t1 - 1]

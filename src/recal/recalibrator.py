@@ -156,7 +156,10 @@ class RecalibratorState:
         # Per-round updates go through a view: it adds Python floats
         # (the same IEEE sums) at a fraction of numpy's per-item cost.
         self._cal_view = memoryview(self._cum_cal)
-        self._cum_reg = 0.0
+        # The live ledger, read without a copy by the greedy adversary:
+        # the calibration block (read-only) and the regret coordinate.
+        self.ledger = self._cal_view.toreadonly()
+        self.cum_reg = 0.0
         self._pending = None
         self._diameter = dual_set_diameter(cfg.m)
         # Unused uniforms of the current block, the next one last.
@@ -168,7 +171,7 @@ class RecalibratorState:
 
     @property
     def cum_payoff(self) -> PayoffVector:
-        return PayoffVector(self._cum_cal.copy(), self._cum_reg)
+        return PayoffVector(self._cum_cal.copy(), self.cum_reg)
 
     def predict(self, q: float, quote_scores=None):
         """Return (p, w): the sampled grid forecast and the distribution.
@@ -233,7 +236,7 @@ class RecalibratorState:
             elif new == 0.0:
                 self._nnz -= 1
         reg /= cfg.lam
-        self._cum_reg += reg
+        self.cum_reg += reg
         new_b = self._b + eta * reg
         self._b = 0.0 if new_b < 0.0 else (1.0 if new_b > 1.0 else new_b)
         self.t += 1

@@ -11,7 +11,9 @@ ScalarRecalibratorState, the unfused online state built on it, are what
 the recalibrator's fused round replaced; they too must agree bit for bit.
 ogd_step, f_value and extended_score are the textbook forms of the
 recalibrator's update, its halfspace response and the rule's extension
-to label distributions; only tests use them.
+to label distributions; only tests use them.  adversary_label_scan is
+the greedy adversary as it was before the harness kept a running l1 of
+the ledger: it copies the ledger and sums it once per label.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from recal.geometry import (
     HalfspaceParam,
     PayoffVector,
     add_payoff,
+    dist_to_target,
     nearest_grid_index,
     point_mass,
     project_onto_K,
@@ -371,3 +374,24 @@ class ScalarRecalibratorState:
         self._b = 0.0 if new_b < 0.0 else (1.0 if new_b > 1.0 else new_b)
         self.t += 1
         return self
+
+
+def adversary_label_scan(w: ForecastDistribution, theta, q: float,
+                         cum_payoff: PayoffVector, t: int, cfg: GameConfig) -> int:
+    """Label maximizing next-step average distance to the target set.
+
+    w is any play with a support of (index, weight) pairs; t is the
+    number of completed rounds; ties resolve to y = 1.  The
+    recalibrator's current parameter is observable but unused by this
+    greedy adversary, so callers may pass theta=None.
+    """
+    best_y = 1
+    best_d = -math.inf
+    for y in (1, 0):
+        cal = cum_payoff.cal.copy()
+        reg = cum_payoff.reg + add_payoff(cfg, w.support, q, y, cal)
+        d = dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1)))
+        if d > best_d:
+            best_d = d
+            best_y = y
+    return best_y

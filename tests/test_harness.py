@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from recal import harness
 from recal.cli import _trace_csv_text
 from recal.cli import main as cli_main
 from recal.geometry import (
@@ -29,8 +30,10 @@ from recal.harness import (
     sweep,
 )
 from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
-from recal.recalibrator import dual_set_diameter
+from recal.recalibrator import RecalibratorState, dual_set_diameter
 from recal.scoring import brier, score
+
+from .reference import adversary_label_scan
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,95 @@ def test_adversary_is_argmax():
             assert dists[y] >= dists[1 - y] - 1e-12
 
 
+def _dense_distances(cfg, support, q, cum, t):
+    """Both labels' next-step distances, from a dense payoff vector."""
+    grid = np.asarray(cfg.grid)
+    x = np.zeros(cfg.m + 1)
+    for i, wi in support:
+        x[i] = wi
+    dists = []
+    for lab in (0, 1):
+        score_y = np.asarray(cfg.score1 if lab else cfg.score0)
+        cal = cum.cal + x * (grid - lab)
+        reg = cum.reg + (x @ score_y - score(cfg.rule, q, lab)) / cfg.lam
+        dists.append(dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1))))
+    return dists
+
+
+@pytest.mark.parametrize("forecaster, m", [
+    ("approach", 4), ("approach", 16), ("approach", 256), ("approach", 1024),
+    ("passthrough", 4), ("passthrough", 16), ("passthrough", 256), ("passthrough", 1024),
+    ("mw", 4), ("mw", 16), ("mw", 256),
+])
+def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
+    # Replays whole adversarial runs.  Every round, the running l1 the
+    # loop carries equals the live ledger's l1, and the label equals the
+    # copy-and-sum scan's wherever the scan's two distances differ by
+    # more than 1e-12 (closer ties may break either way).  q is the
+    # constant quote of the run being played.
+    fast = harness._greedy_label
+    seen = {"rounds": 0, "flips": 0}
+
+    def checked(support, quote_scores, cal, reg, l1, t, cfg):
+        cum = PayoffVector(np.array(cal), reg)
+        exact = float(np.abs(cum.cal).sum())
+        assert abs(l1 - exact) <= 1e-12 * max(1.0, exact), (t, l1, exact)
+        y, seen["l1"] = fast(support, quote_scores, cal, reg, l1, t, cfg)
+        y_ref = adversary_label_scan(SimpleNamespace(support=support), None, q, cum, t, cfg)
+        seen["rounds"] += 1
+        if y != y_ref:
+            seen["flips"] += 1
+            d0, d1 = _dense_distances(cfg, support, q, cum, t)
+            assert abs(d1 - d0) <= 1e-12, (t, d0, d1)
+        return y, seen["l1"]
+
+    monkeypatch.setattr(harness, "_greedy_label", checked)
+    rules = ["brier"] + (["log:0.1"] if m >= 16 else [])
+    T = 256 if forecaster == "mw" and m >= 256 else 1024
+    for rule in rules:
+        for seed, q in ((0, 0.5), (1, 0.3)):
+            cfg = ExperimentConfig(T=T, m=m, forecaster=forecaster, rule=rule,
+                                   oracle=f"constant:{q}", labels="adversarial_greedy",
+                                   seed=seed)
+            exact = run_experiment(cfg).cum_payoff.cal_l1()
+            assert abs(seen["l1"] - exact) <= 1e-12 * max(1.0, exact)
+    assert seen["rounds"] == 2 * len(rules) * T
+    assert seen["flips"] <= seen["rounds"] // 100
+
+
+def test_adversary_rejects_bad_ledger_and_round():
+    cfg = game_config(4, brier())
+    with pytest.raises(ValueError, match="m\\+1"):
+        adversary_label(point_mass(0), None, 0.5, PayoffVector(np.zeros(4), 0.0), 0, cfg)
+    with pytest.raises(ValueError, match="nonnegative"):
+        adversary_label(point_mass(0), None, 0.5, PayoffVector(np.zeros(5), 0.0), -1, cfg)
+
+
+@pytest.mark.parametrize("forecaster", ["approach", "passthrough", "mw"])
+def test_adversarial_run_snapshots_ledger_only_at_checkpoints(monkeypatch, forecaster):
+    # The adversary reads the live ledger; the m+1 copy is taken only for
+    # each checkpoint and for the final trace.
+    owner = RecalibratorState if forecaster == "approach" else harness._PassthroughForecaster
+    snapshot = owner.cum_payoff.fget
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return snapshot(self)
+
+    monkeypatch.setattr(owner, "cum_payoff", property(counted))
+    trace = run_experiment(_cfg(forecaster=forecaster, labels="adversarial_greedy",
+                                oracle="constant:0.5", T=300, m=8))
+    assert len(reads) == len(trace.checkpoints) + 1 == len(checkpoint_schedule(300)) + 1
+
+
+def test_adversarial_run_at_large_grid():
+    m, T = 2**16, 256
+    trace = run_experiment(_cfg(labels="adversarial_greedy", oracle="constant:0.5", T=T, m=m))
+    assert len(trace.y) == T
+    assert trace.final.dist_to_target <= dual_set_diameter(m) * math.sqrt(2.0) / math.sqrt(T)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -240,6 +332,22 @@ def test_run_seed_changes_draws():
     a = run_experiment(_cfg())
     b = run_experiment(_cfg(seed=4))
     assert a.y != b.y
+
+
+@pytest.mark.parametrize("labels, oracle", [
+    ("iid_bernoulli:0.5", "clairvoyant:0.2"),
+    ("periodic:01", "clairvoyant:0.2"),
+    ("adversarial_greedy", "constant:0.5"),
+])
+def test_shorter_run_is_a_prefix(labels, oracle):
+    # Criterion 05 reads its 2^10 and 2^12 runs off the checkpoints of
+    # one 2^14 run, which holds because a run is a prefix of a longer one.
+    long = run_experiment(_cfg(T=2**14, m=16, labels=labels, oracle=oracle))
+    for T in (2**10, 2**12):
+        short = run_experiment(_cfg(T=T, m=16, labels=labels, oracle=oracle))
+        assert short.checkpoints == long.checkpoints[:len(short.checkpoints)]
+        assert short.final.t == T
+        assert short.p == long.p[:T] and short.y == long.y[:T]
 
 
 def test_checkpoints_follow_schedule():
