@@ -4,8 +4,10 @@ Everything here is recomputed from first principles (dense enumeration,
 direct formula transcription) with no shortcuts, so the package's
 optimized code paths can be checked against independent math.  The
 dense forecaster is exponential in m and only usable for m <= ~12.
-The scalar MW pair scan (mw_choose_scan) is the loop-by-loop code that
-the vectorised mw_choose replaced; the two must agree bit for bit.
+The scalar MW pair scan (mw_choose_scan) enumerates every vertex and
+two-vertex mixture; it reads the MW weights through ScanState, the
+pos/neg/reg fields MWState had before it kept log weights only, and
+mw_choose's game value must equal the scan's within 1e-12.
 approach_scan, the closure-based halfspace oracle, and
 ScalarRecalibratorState, the unfused online state built on it, are what
 the recalibrator's fused round replaced; they too must agree bit for bit.
@@ -19,6 +21,7 @@ the ledger: it copies the ledger and sums it once per label.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -34,7 +37,7 @@ from recal.geometry import (
     point_mass,
     project_onto_K,
 )
-from recal.mw_recalibrator import MWState, _ratio_parts, _to_log_mode
+from recal.mw_recalibrator import MWState
 from recal.recalibrator import (
     DEGENERATE_DELTA,
     GRAD_NORM_BOUND,
@@ -144,7 +147,67 @@ class DenseMW:
         self.weights = self.weights * np.exp(self.eta * self.lifted_loss(x, q, y))
 
 
-def vertex_losses_scan(state: MWState, q: float, y: int):
+# The stored exponentials' range in the linear mode MWState had before it
+# kept log weights only.
+OVERFLOW_LIMIT = 1e300
+
+
+@dataclass
+class ScanState:
+    """The MW state as the pair scan reads it.
+
+    In linear mode pos[k] and neg[k] hold exp(+-u_k) and reg holds
+    exp(r); in log mode the same fields hold the exponents themselves.
+    """
+
+    cfg: GameConfig
+    pos: list
+    neg: list
+    reg: float
+    log_mode: bool
+
+
+def scan_state(state: MWState, log_mode: bool | None = None) -> ScanState:
+    """An MWState's log weights as the scan's pos/neg/reg fields.
+
+    Linear mode unless log_mode is set, or unless some exponential
+    leaves [1/OVERFLOW_LIMIT, OVERFLOW_LIMIT] when log_mode is None.
+    """
+    u = state.u.tolist()
+    if log_mode is None:
+        limit = math.log(OVERFLOW_LIMIT)
+        log_mode = max(map(abs, u + [state.r])) >= limit
+    if log_mode:
+        return ScanState(state.cfg, u, [-v for v in u], state.r, True)
+    return ScanState(state.cfg, [math.exp(v) for v in u], [math.exp(-v) for v in u],
+                     math.exp(state.r), False)
+
+
+def _to_log_mode(state: ScanState) -> None:
+    """Replace the stored exponentials by their logs, all or nothing."""
+    pos = [math.log(v) for v in state.pos]
+    neg = [math.log(v) for v in state.neg]
+    state.pos, state.neg, state.reg = pos, neg, math.log(state.reg)
+    state.log_mode = True
+
+
+def _ratio_parts(state: ScanState):
+    """(rho, g_log) with rho_k = (pos_k - neg_k) / (pos_k + neg_k) and
+    g_log = log(reg / prod_k (pos_k + neg_k)), valid in either mode."""
+    if state.log_mode:
+        rho = [math.tanh((p - n) / 2.0) for p, n in zip(state.pos, state.neg)]
+        log_prod = 0.0
+        for p, n in zip(state.pos, state.neg):
+            log_prod += float(np.logaddexp(p, n))
+        return rho, state.reg - log_prod
+    rho = [(p - n) / (p + n) for p, n in zip(state.pos, state.neg)]
+    log_prod = 0.0
+    for p, n in zip(state.pos, state.neg):
+        log_prod += math.log(p + n)
+    return rho, math.log(state.reg) - log_prod
+
+
+def vertex_losses_scan(state: ScanState, q: float, y: int):
     """dp_weighted_loss of every point mass for one label, scalar loops."""
     cfg = state.cfg
     grid = cfg.grid
@@ -182,7 +245,7 @@ def vertex_losses_scan(state: MWState, q: float, y: int):
             for j in range(n)]
 
 
-def mw_choose_scan(state: MWState, q: float) -> np.ndarray:
+def mw_choose_scan(state: ScanState, q: float) -> np.ndarray:
     """Scalar O(m^2) pair scan: the test oracle for mw_choose.
 
     Both label losses are linear in x, so the minimum over the simplex

@@ -180,6 +180,23 @@ def test_criterion_05_per_run_approachability_battery():
                    f"{worst_ratio:.3e}, {elapsed:.1f}s (< 2min)")
 
 
+def test_early_headroom_is_measured():
+    # Criterion 05's grids reach the target set before 2^10 rounds, so it
+    # reads dist_to_target = 0 throughout.  At m = 64 and 256 the early
+    # checkpoints still have distance left to measure against the bound.
+    readings = []
+    for labels in ("iid_bernoulli:0.5", "periodic:01", "adversarial_greedy"):
+        oracle = "constant:0.5" if labels == "adversarial_greedy" else "clairvoyant:0.2"
+        for m in (64, 256):
+            cfg = ExperimentConfig(T=2**8, m=m, forecaster="approach",
+                                   oracle=oracle, labels=labels, seed=0)
+            for c in run_experiment(cfg).checkpoints:
+                readings.append(c.dist_to_target / _per_run_bound(m, c.t))
+    assert len(readings) == 6 * 9
+    assert max(readings) <= 1.0
+    assert max(readings) > 0.0
+
+
 def test_criterion_06_recalibration_slope_at_one_third():
     t0 = time.perf_counter()
     base = ExperimentConfig(T=1, forecaster="approach", exponent=1.0 / 3.0,

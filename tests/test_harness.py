@@ -225,7 +225,7 @@ def _dense_distances(cfg, support, q, cum, t):
 @pytest.mark.parametrize("forecaster, m", [
     ("approach", 4), ("approach", 16), ("approach", 256), ("approach", 1024),
     ("passthrough", 4), ("passthrough", 16), ("passthrough", 256), ("passthrough", 1024),
-    ("mw", 4), ("mw", 16), ("mw", 256),
+    ("mw", 4), ("mw", 16), ("mw", 256), ("mw", 1024),
 ])
 def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
     # Replays whole adversarial runs.  Every round, the running l1 the
@@ -251,7 +251,8 @@ def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
 
     monkeypatch.setattr(harness, "_greedy_label", checked)
     rules = ["brier"] + (["log:0.1"] if m >= 16 else [])
-    T = 256 if forecaster == "mw" and m >= 256 else 1024
+    # mw at m = 1024 needs T >= ln(2^1025 + 1), about 711
+    T = {256: 256, 1024: 720}.get(m, 1024) if forecaster == "mw" else 1024
     for rule in rules:
         for seed, q in ((0, 0.5), (1, 0.3)):
             cfg = ExperimentConfig(T=T, m=m, forecaster=forecaster, rule=rule,
@@ -377,9 +378,13 @@ def test_checkpoints_follow_schedule():
     (dict(T=1024, m=1024, forecaster="approach", rule="log:0.05", oracle="noisy_truth:0.1",
           labels="iid_bernoulli:0.3", seed=13),
      "70161802805d30a516084bbe2e90d7b101bfb575808eabf761c1c19a24880d3f"),
+    # the MW baseline's log weights and exact dual minimax
+    (dict(T=512, m=8, forecaster="mw", rule="brier", oracle="clairvoyant:0.2",
+          labels="periodic:0110", seed=5),
+     "d0518c9ebf436f8025e0916b006a266be62e9547f778183956fe15f660bc5045"),
 ])
 def test_trace_bytes_are_pinned(kw, digest):
-    # approach and passthrough traces must not move by a single bit
+    # traces must not move by a single bit
     text = _trace_csv_text(run_experiment(ExperimentConfig(**kw)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -1,19 +1,18 @@
-"""Multiplicative-weights forecaster: DP identities, log mode, minimax play."""
+"""Multiplicative-weights forecaster: DP identities, log weights, minimax play."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from recal import harness, mw_recalibrator
-from recal.geometry import game_config, unchecked_game_config
+from recal import harness
+from recal.geometry import game_config, nearest_grid_index, unchecked_game_config
 from recal.harness import ExperimentConfig, run_experiment
 from recal.mw_recalibrator import (
-    PAIR_BLOCK,
     MWState,
-    _to_log_mode,
     dp_denominator,
     dp_weighted_loss,
     lifted_dimension,
@@ -24,7 +23,14 @@ from recal.mw_recalibrator import (
 )
 from recal.scoring import brier, log_clipped
 
-from .reference import DenseMW, dense_loss_parts, lifted_max_reference, mw_choose_scan
+from .reference import (
+    DenseMW,
+    dense_loss_parts,
+    lifted_max_reference,
+    mw_choose_scan,
+    scan_state,
+    vertex_losses_scan,
+)
 
 
 def _one_hot(n: int, i: int) -> np.ndarray:
@@ -47,10 +53,10 @@ def test_mw_init_frozen_learning_rate():
     cfg = game_config(3, brier())
     state = mw_init(cfg, 100)
     assert state.eta == pytest.approx(0.04208037951391521, abs=1e-15)
-    assert state.pos == [1.0] * 4
-    assert state.neg == [1.0] * 4
-    assert state.reg == 1.0
-    assert not state.log_mode
+    assert state.u.tolist() == [0.0] * 4
+    assert state.r == 0.0
+    assert state.rho.tolist() == [0.0] * 4
+    assert state.log_a.tolist() == [math.log(2.0)] * 4
 
 
 def test_mw_init_rejects_short_horizon():
@@ -85,9 +91,8 @@ def test_zero_loss_update_is_identity():
     x = _one_hot(4, 3)
     assert dp_weighted_loss(state, x, 1.0, 1) == 0.0
     mw_update(state, x, 1.0, 1)
-    assert state.pos == [1.0] * 4
-    assert state.neg == [1.0] * 4
-    assert state.reg == 1.0
+    assert state.u.tolist() == [0.0] * 4
+    assert state.r == 0.0
     assert state.t == 1
     assert dp_denominator(state) == 17.0
 
@@ -127,64 +132,125 @@ def test_updates_commute():
     b = mw_init(cfg, 100)
     mw_update(b, *u2)
     mw_update(b, *u1)
-    assert a.pos == pytest.approx(b.pos, rel=1e-12)
-    assert a.neg == pytest.approx(b.neg, rel=1e-12)
-    assert a.reg == pytest.approx(b.reg, rel=1e-12)
+    assert a.u.tolist() == pytest.approx(b.u.tolist(), rel=1e-12)
+    assert a.r == pytest.approx(b.r, rel=1e-12)
+    assert a.rho.tolist() == pytest.approx(b.rho.tolist(), rel=1e-12)
+    assert a.log_a.tolist() == pytest.approx(b.log_a.tolist(), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_dp_matches_dense_enumeration_at_large_eta(m):
+    # eta = 3 drives the lifted weights across hundreds of orders of
+    # magnitude within 60 updates, still inside the dense float range
+    rule = brier() if m % 2 == 0 else log_clipped(0.05)
+    cfg = unchecked_game_config(m, rule)
+    state = MWState(cfg=cfg, eta=3.0, T=200)
+    dense = DenseMW(cfg, 200)
+    dense.eta = state.eta
+    rng = np.random.default_rng(70 + m)
+    for _ in range(60):
+        q = float(rng.random())
+        y = int(rng.integers(0, 2))
+        x = mw_choose(state, q)
+        mw_update(state, x, q, y)
+        dense.update(x, q, y)
+    assert dp_denominator(state) == pytest.approx(dense.denominator(), rel=1e-9)
+    for _ in range(10):
+        xp = rng.dirichlet(np.ones(m + 1))
+        qp = float(rng.random())
+        yp = int(rng.integers(0, 2))
+        want = dense.weighted_loss(xp, qp, yp)
+        got = dp_weighted_loss(state, xp, qp, yp)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------
-# Log-space fallback
+# Log weights
 # ---------------------------------------------------------------------------
 
 
 def test_log_mode_agrees_with_linear_mode():
+    # The linear representation holds the lifted weights' factors
+    # exp(+-u_k) and exp(r) themselves; the scan's dynamic program over
+    # it must give the losses and the denominator the log weights give.
     cfg = game_config(4, brier())
-    lin = mw_init(cfg, 200)
-    logm = mw_init(cfg, 200)
+    state = mw_init(cfg, 200)
     rng = np.random.default_rng(31)
-    updates = [
-        (rng.dirichlet(np.ones(5)), float(rng.random()), int(rng.integers(0, 2)))
-        for _ in range(60)
-    ]
-    for u in updates[:30]:
-        mw_update(lin, *u)
-        mw_update(logm, *u)
-    _to_log_mode(logm)
-    for u in updates[30:]:
-        mw_update(lin, *u)
-        mw_update(logm, *u)
+    for _ in range(60):
+        mw_update(state, rng.dirichlet(np.ones(5)), float(rng.random()),
+                  int(rng.integers(0, 2)))
+    lin = scan_state(state, log_mode=False)
     assert not lin.log_mode
-    assert logm.log_mode
-    assert dp_denominator(logm) == pytest.approx(dp_denominator(lin), rel=1e-9)
+    den = lin.reg + math.prod(p + n for p, n in zip(lin.pos, lin.neg))
+    assert dp_denominator(state) == pytest.approx(den, rel=1e-12)
     for _ in range(20):
-        xp = rng.dirichlet(np.ones(5))
-        qp = float(rng.random())
-        yp = int(rng.integers(0, 2))
-        a = dp_weighted_loss(lin, xp, qp, yp)
-        b = dp_weighted_loss(logm, xp, qp, yp)
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
         qc = float(rng.random())
-        xa = mw_choose(lin, qc)
-        xb = mw_choose(logm, qc)
-        va = max(dp_weighted_loss(lin, xa, qc, 0), dp_weighted_loss(lin, xa, qc, 1))
-        vb = max(dp_weighted_loss(lin, xb, qc, 0), dp_weighted_loss(lin, xb, qc, 1))
-        assert abs(va - vb) <= 1e-9
+        h = [np.array(vertex_losses_scan(lin, qc, y)) for y in (0, 1)]
+        xp = rng.dirichlet(np.ones(5))
+        for y in (0, 1):
+            assert dp_weighted_loss(state, xp, qc, y) == pytest.approx(
+                float(xp @ h[y]), rel=0.0, abs=1e-12)
+        x = mw_choose(state, qc)
+        xs = mw_choose_scan(lin, qc)
+        assert max(x @ h[0], x @ h[1]) == pytest.approx(max(xs @ h[0], xs @ h[1]),
+                                                        rel=0.0, abs=1e-12)
 
 
-def test_overflow_switches_to_log_mode_automatically():
-    # eta far above any legal value drives the stored exponentials past
-    # the float range within a few rounds
+def test_overflowing_weights_stay_exact():
+    # eta far above any legal value drives the lifted weights past the
+    # float range within a few rounds; their logs stay exact
     cfg = unchecked_game_config(2, brier())
-    state = MWState(cfg=cfg, eta=50.0, T=100, pos=[1.0] * 3, neg=[1.0] * 3)
+    state = MWState(cfg=cfg, eta=50.0, T=100)
     x = _one_hot(3, 0)
     for _ in range(30):
         mw_update(state, x, 1.0, 1)
-    assert state.log_mode
+    assert state.u.tolist() == [-1500.0, 0.0, 0.0]
+    assert state.r == 1500.0
+    assert state.rho.tolist() == [-1.0, 0.0, 0.0]
+    assert state.log_a.tolist() == [1500.0, math.log(2.0), math.log(2.0)]
+    assert dp_denominator(state) == math.inf
     # five lifted coordinates are tied at the top (four sign patterns
     # with sigma_0 = -1, plus the regret coordinate), so the weighted
     # loss of a probe is their plain average
     got = dp_weighted_loss(state, x, 0.5, 1)
-    assert got == pytest.approx((4.0 * 1.0 + 0.75) / 5.0, abs=1e-6)
+    assert got == pytest.approx((4.0 * 1.0 + 0.75) / 5.0, abs=1e-12)
+
+
+def _battery_runs():
+    """(m, rule, seed) of the large-eta battery: 90 runs per eta."""
+    for m in (1, 2, 3, 4, 6, 8, 12, 16, 32):
+        for rule in (brier(), log_clipped(0.05)):
+            for seed in range(5):
+                yield m, rule, seed
+
+
+def test_large_eta_runs_track_cumulative_losses():
+    # 360 runs of 40 rounds with eta in {10, 20, 40, 80}, far above
+    # mw_init's: after every update u and r equal eta times the
+    # cumulative losses and every field is finite
+    runs = 0
+    for eta in (10.0, 20.0, 40.0, 80.0):
+        for m, rule, seed in _battery_runs():
+            cfg = unchecked_game_config(m, rule)
+            state = MWState(cfg=cfg, eta=eta, T=100)
+            rng = np.random.default_rng(seed)
+            cum_cal = np.zeros(m + 1)
+            cum_reg = 0.0
+            for _ in range(40):
+                q = float(rng.random())
+                y = int(rng.integers(0, 2))
+                x = mw_choose(state, q)
+                mw_update(state, x, q, y)
+                cal, reg = dense_loss_parts(cfg, x, q, y)
+                cum_cal += cal
+                cum_reg += reg
+                assert np.abs(state.u - eta * cum_cal).max() <= 1e-9
+                assert abs(state.r - eta * cum_reg) <= 1e-9
+                fields = np.concatenate([state.u, state.rho, state.log_a, [state.r]])
+                assert np.isfinite(fields).all()
+            assert state.t == 40
+            runs += 1
+    assert runs == 360
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +272,22 @@ def test_choose_regret_only_plays_nearest_grid_point():
     # weights concentrated on the regret coordinate reduce the game to
     # pure proper-scoring regret
     cfg = unchecked_game_config(2, brier())
-    tiny = [1e-200] * 3
-    state = MWState(cfg=cfg, eta=0.1, T=100, pos=list(tiny), neg=list(tiny), reg=1.0)
+    state = MWState(cfg=cfg, eta=0.1, T=100, r=460.0)
     for q, j in ((0.5, 1), (0.0, 0), (1.0, 2)):
         x = mw_choose(state, q)
         assert x[j] == 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+def test_choose_breaks_ties_to_nearest_grid_point(m):
+    # with no weight on the regret coordinate and u = 0 every weighted
+    # loss is exactly 0, so every play is optimal
+    cfg = unchecked_game_config(m, brier())
+    state = MWState(cfg=cfg, eta=0.1, T=100, r=-800.0)
+    rng = np.random.default_rng(m)
+    for q in [i / m for i in range(m + 1)] + rng.random(8).tolist():
+        x = mw_choose(state, q)
+        assert x[nearest_grid_index(q, m)] == 1.0, (q, x)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -248,32 +325,78 @@ def test_choose_matches_lp_minimax(m):
         assert achieved == pytest.approx(res.fun, abs=1e-9)
 
 
+@pytest.mark.parametrize("rule", [brier(), log_clipped(0.05)])
+def test_choose_matches_lp_minimax_at_large_grid(rule):
+    # m = 2^16 on a played state: the game value matches the LP optimum
+    # over all 65,537 grid points, and mw_choose allocates O(m), not O(m^2)
+    m = 2**16
+    n = m + 1
+    cfg = unchecked_game_config(m, rule)
+    state = mw_init(cfg, 2**16)
+    rng = np.random.default_rng(16)
+    for step in range(40):
+        q = float(rng.random())
+        if step % 4 == 0:
+            x = rng.dirichlet(np.ones(n))
+        else:
+            x = mw_choose(state, q)
+        mw_update(state, x, q, int(rng.integers(0, 2)))
+    legacy = scan_state(state)
+    ones = np.ones(n)
+    for q in (0.0, 0.5, float(rng.random())):
+        h = [vertex_losses_scan(legacy, q, y) for y in (0, 1)]
+        res = linprog(
+            c=np.append(np.zeros(n), 1.0),
+            A_ub=np.array([np.append(h[0], -1.0), np.append(h[1], -1.0)]),
+            b_ub=[0.0, 0.0],
+            A_eq=np.append(ones, 0.0).reshape(1, -1),
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * n + [(None, None)],
+            method="highs",
+        )
+        assert res.status == 0
+        tracemalloc.start()
+        x = mw_choose(state, q)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 64 * 8 * n
+        assert max(x @ h[0], x @ h[1]) == pytest.approx(res.fun, rel=0.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
-# Vectorised minimax scan against the scalar scan
+# Exact dual minimax against the scalar pair scan
 # ---------------------------------------------------------------------------
 
 
 def _clone(state: MWState) -> MWState:
-    return replace(state, pos=list(state.pos), neg=list(state.neg))
+    return replace(state, u=state.u.copy())
 
 
-def _assert_same_choice(state: MWState, q: float) -> None:
-    fast, slow = _clone(state), _clone(state)
-    x_fast = mw_choose(fast, q)
-    x_slow = mw_choose_scan(slow, q)
-    assert x_fast.tobytes() == x_slow.tobytes(), (state.cfg.m, q, x_fast, x_slow)
-    assert fast.log_mode == slow.log_mode
-    assert (fast.pos, fast.neg, fast.reg) == (slow.pos, slow.neg, slow.reg)
+def _assert_same_value(state: MWState, q: float) -> None:
+    # The choice is a distribution whose game value max(x.h0, x.h1)
+    # equals the pair scan's within 1e-12; where several plays are
+    # optimal the two may pick different ones.  Choosing leaves the
+    # state as it was.
+    before = _clone(state)
+    x = mw_choose(state, q)
+    legacy = scan_state(state)
+    x_scan = mw_choose_scan(legacy, q)
+    h = [np.array(vertex_losses_scan(legacy, q, y)) for y in (0, 1)]
+    got = max(x @ h[0], x @ h[1])
+    want = max(x_scan @ h[0], x_scan @ h[1])
+    assert abs(got - want) <= 1e-12, (state.cfg.m, q, x, x_scan, got, want)
+    assert (x >= 0.0).all() and abs(x.sum() - 1.0) <= 1e-15, x
+    assert state.u.tobytes() == before.u.tobytes() and state.r == before.r
 
 
 def _play(state: MWState, rounds: int, rng) -> None:
     for _ in range(rounds):
-        x = mw_choose_scan(state, float(rng.random()))
+        x = mw_choose(state, float(rng.random()))
         mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
 
 
 def _differential_states(cfg, rng):
-    """Fresh, played, random-mixture, product-overflow and log-mode states."""
+    """Fresh, played, random-mixture, huge-weight and large-eta states."""
     n = cfg.m + 1
     yield mw_init(cfg, 200)  # all coordinates tied
     for rounds in (3, 25):
@@ -285,20 +408,20 @@ def _differential_states(cfg, rng):
         mw_update(state, rng.dirichlet(np.ones(n)), float(rng.random()),
                   int(rng.integers(0, 2)))
     yield state
-    # every stored value in range, but their product overflows in choose
-    yield MWState(cfg=cfg, eta=0.1, T=100, pos=[1e200] * n, neg=[1.0] * n)
-    # a large eta drives the stored exponentials into log mode
-    state = MWState(cfg=cfg, eta=5.0, T=100, pos=[1.0] * n, neg=[1.0] * n)
+    # every factor exp(u_k) near 1e200, so their product overflows
+    yield MWState(cfg=cfg, eta=0.1, T=100, u=np.full(n, 460.5))
+    # a large eta drives the lifted weights past the float range
+    state = MWState(cfg=cfg, eta=5.0, T=100)
     _play(state, 10, rng)
     yield state
-    while not state.log_mode:
+    while max(abs(state.r), np.abs(state.u).max()) < 700.0:
         mw_update(state, _one_hot(n, 0), float(rng.random()), 1)
     yield state
     _play(state, 3, rng)
     yield state
 
 
-def test_choose_matches_scalar_scan_bitwise():
+def test_choose_matches_scalar_scan_game_value():
     rng = np.random.default_rng(2024)
     draws = 0
     for m in range(1, 41):
@@ -307,40 +430,25 @@ def test_choose_matches_scalar_scan_bitwise():
             qs = [i / m for i in range(m + 1)] + rng.random(4).tolist()
             for state in _differential_states(cfg, rng):
                 for q in qs:
-                    _assert_same_choice(state, q)
+                    _assert_same_value(state, q)
                     draws += 1
     assert draws >= 10_000
 
 
-def test_choose_matches_scalar_scan_above_block_threshold():
+def test_choose_matches_scalar_scan_at_large_m():
     m = 362
-    assert m * (m + 1) // 2 > PAIR_BLOCK
     rng = np.random.default_rng(7)
     cfg = unchecked_game_config(m, brier())
     state = mw_init(cfg, 4096)
-    assert state._pairs is None
     for q in (0.0, 0.5):
-        _assert_same_choice(state, q)
+        _assert_same_value(state, q)
     for _ in range(12):
         x = np.zeros(m + 1)
         i = int(rng.integers(0, m))
         x[i], x[i + 1] = 0.5, 0.5
         mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
     for q in (0.0, 1.0, 100 / m, float(rng.random())):
-        _assert_same_choice(state, q)
-
-
-@pytest.mark.parametrize("block", [1, 5, 64])
-def test_choose_row_blocks_match_scalar_scan(monkeypatch, block):
-    monkeypatch.setattr(mw_recalibrator, "PAIR_BLOCK", block)
-    rng = np.random.default_rng(block)
-    for m in range(1, 21):
-        cfg = unchecked_game_config(m, log_clipped(0.05) if m % 2 else brier())
-        for state in _differential_states(cfg, rng):
-            if m * (m + 1) // 2 > block:
-                assert state._pairs is None
-            for q in (0.0, 1.0, float(rng.random())):
-                _assert_same_choice(state, q)
+        _assert_same_value(state, q)
 
 
 @pytest.mark.parametrize("labels, oracle", [
@@ -349,49 +457,25 @@ def test_choose_row_blocks_match_scalar_scan(monkeypatch, block):
     ("adversarial_greedy", "constant:0.4"),
 ])
 def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
+    # Every round of a run, the play's game value equals the pair
+    # scan's on the same state; the run itself is the unchecked run.
     cfg = ExperimentConfig(T=300, forecaster="mw", m=12, labels=labels,
                            oracle=oracle, seed=5)
     fast = run_experiment(cfg)
     calls = []
 
-    def scan(state, q):
+    def checked(state, q):
         calls.append(q)
-        return mw_choose_scan(state, q)
+        _assert_same_value(state, q)
+        return mw_choose(state, q)
 
     # the binding _MWForecaster.predict looks up at call time
-    monkeypatch.setattr(harness, "mw_choose", scan)
+    monkeypatch.setattr(harness, "mw_choose", checked)
     slow = run_experiment(cfg)
     assert len(calls) == cfg.T
     assert fast.p == slow.p
     assert fast.y == slow.y
     assert fast.checkpoints == slow.checkpoints
-    assert fast.cum_payoff.cal.tobytes() == slow.cum_payoff.cal.tobytes()
-    assert fast.cum_payoff.reg == slow.cum_payoff.reg
-
-
-def test_log_switch_from_underflowing_step_is_whole():
-    # eta far above mw_init's drives reg from above 1/OVERFLOW_LIMIT to
-    # 0.0 in one linear step; the switch must start from the values
-    # before that step, or math.log(0.0) fails halfway through
-    cfg = unchecked_game_config(4, log_clipped(0.05))
-    eta = 80.0
-    state = MWState(cfg=cfg, eta=eta, T=100, pos=[1.0] * 5, neg=[1.0] * 5)
-    rng = np.random.default_rng(1)
-    cum_cal = np.zeros(5)
-    cum_reg = 0.0
-    for _ in range(40):
-        q = float(rng.random())
-        y = int(rng.integers(0, 2))
-        x = mw_choose(state, q)
-        mw_update(state, x, q, y)
-        cal, reg = dense_loss_parts(cfg, x, q, y)
-        cum_cal += cal
-        cum_reg += reg
-    assert state.log_mode
-    assert all(map(math.isfinite, state.pos + state.neg + [state.reg]))
-    assert np.allclose(state.pos, eta * cum_cal, rtol=0.0, atol=1e-9)
-    assert np.allclose(state.neg, -eta * cum_cal, rtol=0.0, atol=1e-9)
-    assert state.reg == pytest.approx(eta * cum_reg, rel=0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +493,7 @@ def test_update_rejects_wrong_length(size):
     with pytest.raises(ValueError, match="m\\+1 = 4"):
         dp_weighted_loss(state, x, 0.3, 1)
     assert state.t == 0
-    assert state.pos == [1.0] * 4 and state.neg == [1.0] * 4 and state.reg == 1.0
+    assert state.u.tolist() == [0.0] * 4 and state.r == 0.0
 
 
 # ---------------------------------------------------------------------------
