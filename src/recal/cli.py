@@ -9,15 +9,15 @@ override defaults, unknown keys are rejected.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
 import os
+import string
 import sys
 import tempfile
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .harness import ConfigError, ExperimentConfig, run_experiment, sweep
 from .metrics import BucketStats, default_regret_slack
 from .mw_recalibrator import dp_denominator, dp_weighted_loss, mw_init, mw_update
 from .recalibrator import approach_with_cost
-from .scoring import brier, log_clipped, parse_rule, regret_term, score
+from .scoring import brier, log_clipped, regret_term, score
 
 RUN_KEYS = ("forecaster", "rule", "m", "exponent", "T", "oracle", "labels",
             "seed", "out", "format")
@@ -140,13 +140,15 @@ def _as_T_grid(merged: dict) -> list:
     return out
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, blocks) -> None:
+    """Write the text blocks to path, one at a time, through a temporary
+    file in the same directory that replaces path once all are written."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.",
                                suffix="." + os.path.basename(path))
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -173,41 +175,101 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
     )
 
 
-def _trace_csv_text(trace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    cps = {c.t: c for c in trace.checkpoints}
-    for idx in range(len(trace.p)):
-        t = idx + 1
-        row = [t, repr(trace.q[idx]), repr(trace.p[idx]), trace.y[idx]]
-        c = cps.get(t)
-        if c is None:
-            row += ["", "", "", ""]
-        else:
-            row += [repr(c.calib_l1), repr(c.average_regret),
-                    repr(c.recalibration_rate), repr(c.dist_to_target)]
-        writer.writerow(row)
-    return buf.getvalue()
+def _json_items(values) -> list:
+    """Cell texts of values from the C encoder: the same float, int and
+    null text as the indented encoder writes."""
+    return json.dumps(values)[1:-1].split(", ")
 
 
-def _trace_json_rows(trace) -> list:
-    cps = {c.t: c for c in trace.checkpoints}
-    rows = []
-    for idx in range(len(trace.p)):
-        t = idx + 1
-        c = cps.get(t)
-        rows.append({
-            "t": t,
-            "q": trace.q[idx],
-            "p": trace.p[idx],
-            "y": trace.y[idx],
-            "calib_l1": c.calib_l1 if c else None,
-            "avg_regret": c.average_regret if c else None,
-            "recal_rate": c.recalibration_rate if c else None,
-            "dist_to_target": c.dist_to_target if c else None,
-        })
-    return rows
+def _csv_items(values) -> list:
+    return list(map(repr, values))
+
+
+def _template(row: str) -> tuple:
+    """A row in str.format syntax as alternating literal texts and field
+    numbers."""
+    pieces = []
+    for literal, field_name, _, _ in string.Formatter().parse(row):
+        if literal:
+            pieces.append(literal)
+        if field_name is not None:
+            pieces.append(int(field_name))
+    return tuple(pieces)
+
+
+def _json_row(cells) -> str:
+    fields = sorted(zip(TRACE_HEADER, cells))
+    return (",\n  {{\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in fields)
+            + "\n  }}")
+
+
+class _TraceFormat(NamedTuple):
+    """How a trace file spells its rows.
+
+    plain and full are row templates whose fields 0-7 are the columns of
+    TRACE_HEADER: plain has the four empty checkpoint cells baked in,
+    full is the checkpoint row.  Every row starts with sep, which the
+    file's first row drops.  items turns a list of values into cell texts.
+    """
+
+    head: str
+    sep: str
+    plain: tuple
+    full: tuple
+    foot: str
+    items: Callable[[list], list]
+
+
+_FIELDS = tuple(f"{{{k}}}" for k in range(len(TRACE_HEADER)))
+_TRACE_FORMATS = {
+    "csv": _TraceFormat(",".join(TRACE_HEADER) + "\n", "",
+                        _template(",".join(_FIELDS[:4] + ("",) * 4) + "\n"),
+                        _template(",".join(_FIELDS) + "\n"), "", _csv_items),
+    "json": _TraceFormat("[\n", ",\n", _template(_json_row(_FIELDS[:4] + ("null",) * 4)),
+                         _template(_json_row(_FIELDS)), "\n]\n", _json_items),
+}
+# Rows per block of a trace file: a block's text and cell lists are all
+# the writer holds, whatever T is.
+TRACE_BLOCK_ROWS = 1024
+
+
+def _fill(template: tuple, cols: list):
+    """The texts of template's rows, field k of each row from cols[k]."""
+    return itertools.chain.from_iterable(zip(*[
+        itertools.repeat(piece) if isinstance(piece, str) else cols[piece]
+        for piece in template]))
+
+
+def _trace_blocks(trace, fmt: str):
+    """The text of trace's file in format fmt, TRACE_BLOCK_ROWS rows at a time.
+
+    A block is built column by column: the format's encoder turns each
+    of q, p and y into cell texts, the rows between checkpoints take the
+    plain template and each checkpoint row the full one.
+    """
+    spec = _TRACE_FORMATS[fmt]
+    items = spec.items
+    T = len(trace.p)
+    yield spec.head
+    for lo in range(0, T, TRACE_BLOCK_ROWS):
+        hi = min(lo + TRACE_BLOCK_ROWS, T)
+        cols = [list(map(str, range(lo + 1, hi + 1))), items(trace.q[lo:hi]),
+                items(trace.p[lo:hi]), items(trace.y[lo:hi])]
+        runs = []
+        start = 0
+        for c in trace.checkpoints:
+            if lo < c.t <= hi:
+                k = c.t - lo - 1
+                metrics = items([c.calib_l1, c.average_regret, c.recalibration_rate,
+                                 c.dist_to_target])
+                runs.append(_fill(spec.plain, [col[start:k] for col in cols]))
+                runs.append(_fill(spec.full, [col[k:k + 1] for col in cols]
+                                  + [[cell] for cell in metrics]))
+                start = k + 1
+        runs.append(_fill(spec.plain, [col[start:] for col in cols]))
+        text = "".join(itertools.chain.from_iterable(runs))
+        yield text if lo else text[len(spec.sep):]
+    yield spec.foot
 
 
 def cmd_run(args) -> int:
@@ -218,15 +280,10 @@ def cmd_run(args) -> int:
     trace = run_experiment(exp)
 
     os.makedirs(out_dir, exist_ok=True)
-    if fmt == "csv":
-        trace_path = os.path.join(out_dir, "trace.csv")
-        _atomic_write_text(trace_path, _trace_csv_text(trace))
-    else:
-        trace_path = os.path.join(out_dir, "trace.json")
-        _atomic_write_text(trace_path, _json_text(_trace_json_rows(trace)))
+    trace_path = os.path.join(out_dir, f"trace.{fmt}")
+    _atomic_write(trace_path, _trace_blocks(trace, fmt))
 
-    rule = parse_rule(exp.rule)
-    cfg = game_config(trace.m, rule)
+    cfg = trace.game
     final = trace.final
     summary = {
         "config": {k: merged[k] for k in RUN_KEYS},
@@ -235,7 +292,7 @@ def cmd_run(args) -> int:
             "lambda": cfg.lam,
             "cal_threshold": cfg.cal_threshold,
             "reg_threshold": cfg.reg_threshold,
-            "delta": default_regret_slack(rule, trace.m),
+            "delta": default_regret_slack(cfg.rule, trace.m),
         },
         "final": {
             "t": final.t,
@@ -248,7 +305,7 @@ def cmd_run(args) -> int:
         "wall_time_s": trace.wall_time,
     }
     summary_path = os.path.join(out_dir, "summary.json")
-    _atomic_write_text(summary_path, _json_text(summary))
+    _atomic_write(summary_path, [_json_text(summary)])
     print(f"T={exp.T} m={trace.m} recal_rate={final.recalibration_rate:.6g} "
           f"dist_to_target={final.dist_to_target:.6g} -> {trace_path}, {summary_path}")
     return 0
@@ -273,22 +330,16 @@ def cmd_sweep(args) -> int:
     result = sweep(base, T_grid, seeds)
 
     os.makedirs(out_dir, exist_ok=True)
+    rows_path = os.path.join(out_dir, f"sweep.{fmt}")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in result.rows:
-            writer.writerow([
-                row.T, row.m,
-                repr(row.calibration_rate), repr(row.average_regret),
-                repr(row.recalibration_rate), repr(row.calibration_rate_stderr),
-                repr(row.average_regret_stderr), repr(row.recalibration_rate_stderr),
-            ])
-        rows_path = os.path.join(out_dir, "sweep.csv")
-        _atomic_write_text(rows_path, buf.getvalue())
+        text = "".join(",".join(map(repr, (
+            row.T, row.m, row.calibration_rate, row.average_regret,
+            row.recalibration_rate, row.calibration_rate_stderr,
+            row.average_regret_stderr, row.recalibration_rate_stderr))) + "\n"
+            for row in result.rows)
+        _atomic_write(rows_path, [",".join(SWEEP_HEADER) + "\n" + text])
     else:
-        rows_path = os.path.join(out_dir, "sweep.json")
-        _atomic_write_text(rows_path, _json_text([asdict(r) for r in result.rows]))
+        _atomic_write(rows_path, [_json_text([asdict(r) for r in result.rows])])
 
     summary = {
         "config": {k: merged[k] for k in SWEEP_KEYS},
@@ -296,7 +347,7 @@ def cmd_sweep(args) -> int:
         "rows": [asdict(r) for r in result.rows],
     }
     summary_path = os.path.join(out_dir, "sweep_summary.json")
-    _atomic_write_text(summary_path, _json_text(summary))
+    _atomic_write(summary_path, [_json_text(summary)])
 
     for key in ("calibration_rate", "average_regret", "recalibration_rate"):
         info = result.slopes[key]

@@ -21,7 +21,7 @@ from .geometry import (
     nearest_grid_index,
 )
 from .metrics import BucketStats, default_regret_slack
-from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
+from .mw_recalibrator import _choose_support, _update_support, lifted_dimension, mw_init
 from .recalibrator import RecalibratorState
 from .scoring import parse_rule, score_pair
 
@@ -246,6 +246,7 @@ class Trace:
     stats: BucketStats | None = None
     cum_payoff: PayoffVector | None = None
     wall_time: float = 0.0
+    game: GameConfig | None = None
 
     @property
     def final(self) -> CheckpointMetrics:
@@ -298,21 +299,17 @@ class _PassthroughForecaster:
 
 
 class _MWForecaster(_PassthroughForecaster):
-    """Plays mw_choose's distribution, samples a grid point from it by
-    inverse CDF over the support in ascending order, and feeds the
-    distribution to mw_update."""
+    """Plays mw_choose's distribution by its support, samples a grid
+    point from it by inverse CDF over the support in ascending order,
+    and feeds the support to mw_update's step."""
 
     def __init__(self, cfg: GameConfig, T: int, rng):
         super().__init__(cfg)
         self.state = mw_init(cfg, T)
         self.rng = rng
-        self._x = None
 
     def predict(self, q: float, quote_scores=None):
-        x = mw_choose(self.state, q)
-        weights = x.tolist()
-        self._keep(q, tuple((k, weights[k]) for k in x.nonzero()[0].tolist()), quote_scores)
-        self._x = x
+        self._keep(q, _choose_support(self.state, q), quote_scores)
         u = self.rng.random()
         acc = 0.0
         for i, wi in self._support:
@@ -323,7 +320,7 @@ class _MWForecaster(_PassthroughForecaster):
 
     def observe(self, q: float, y: int) -> None:
         super().observe(q, y)
-        mw_update(self.state, self._x, q, y)
+        _update_support(self.state, self._support, self._quote_scores[y], y)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:
@@ -360,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
     adversarial = ys is None
 
-    trace = Trace(config=cfg, m=m)
+    trace = Trace(config=cfg, m=m, game=gcfg)
     trace.q = qs
     stats = BucketStats(m)
     delta = default_regret_slack(rule, m)

@@ -129,8 +129,10 @@ def dp_weighted_loss(state: MWState, x, q: float, y: int) -> float:
     return w_pat * cal + w_reg * reg
 
 
-def mw_choose(state: MWState, q: float) -> np.ndarray:
-    """Distribution minimizing the worst-label weighted loss.
+def _choose_support(state: MWState, q: float) -> tuple:
+    """mw_choose's play as its (index, weight) support: ascending
+    indices, Python floats, no zero weight, the nonzero entries of the
+    dense distribution bit for bit.
 
     h0 and h1 are the weighted losses of the point masses under each
     label, so by minimax the game value is the maximum over lam in
@@ -177,22 +179,36 @@ def mw_choose(state: MWState, q: float) -> np.ndarray:
     j_star = nearest_grid_index(q, n - 1)
     if not value < max(h0[j_star], h1[j_star]):
         i, j, t = j_star, j_star, 1.0
-    x = np.zeros(n)
-    x[i] = t
-    x[j] += 1.0 - t
+    # the entries that x[i] = t; x[j] += 1 - t leave in a zero vector
+    play = ((i, t + (1.0 - t)),) if i == j else ((i, t), (j, 1.0 - t))
+    return tuple((k, float(w)) for k, w in play if w)
+
+
+def mw_choose(state: MWState, q: float) -> np.ndarray:
+    """Distribution minimizing the worst-label weighted loss, as a dense
+    m+1 vector (the play of _choose_support)."""
+    x = np.zeros(state.cfg.m + 1)
+    for k, w in _choose_support(state, q):
+        x[k] = w
     return x
 
 
 def mw_update(state: MWState, x, q: float, y: int) -> MWState:
     """Fold one round's loss into the log weights, on the support of x."""
+    idx, w = _support(state.cfg, x)
+    return _update_support(state, zip(idx, w), score(state.cfg.rule, q, y), y)
+
+
+def _update_support(state: MWState, support, sq: float, y: int) -> MWState:
+    """mw_update for a play given by its (index, weight) support, with
+    sq = score(q, y)."""
     cfg = state.cfg
-    idx, w = _support(cfg, x)
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0
     eta = state.eta
     u, rho, log_a = state._views
-    reg = -score(cfg.rule, q, y)
-    for k, xk in zip(idx, w):
+    reg = -sq
+    for k, xk in support:
         v = u[k] + eta * (xk * (grid[k] - y))
         u[k] = v
         rho[k] = math.tanh(v)

@@ -16,10 +16,19 @@ recalibrator's update, its halfspace response and the rule's extension
 to label distributions; only tests use them.  adversary_label_scan is
 the greedy adversary as it was before the harness kept a running l1 of
 the ledger: it copies the ledger and sums it once per label.
+mw_choose_dense is mw_choose as it was before it kept its play as a
+support: it fills the dense m+1 distribution, whose nonzero entries the
+support must equal bit for bit.  _trace_csv_text, _trace_json_rows and
+_json_text are the trace formatters that built a whole trace file as one
+string (the JSON one through the pure-Python indented encoder); the
+chunked trace writer must reproduce their bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -37,7 +46,8 @@ from recal.geometry import (
     point_mass,
     project_onto_K,
 )
-from recal.mw_recalibrator import MWState
+from recal.cli import TRACE_HEADER
+from recal.mw_recalibrator import MWState, _shares
 from recal.recalibrator import (
     DEGENERATE_DELTA,
     GRAD_NORM_BOUND,
@@ -46,7 +56,7 @@ from recal.recalibrator import (
     dual_set_diameter,
     ogd_learning_rate,
 )
-from recal.scoring import ScoringRule, score
+from recal.scoring import ScoringRule, score, score_pair
 
 
 def round_half_up_index(p: float, m: int) -> int:
@@ -458,3 +468,98 @@ def adversary_label_scan(w: ForecastDistribution, theta, q: float,
             best_d = d
             best_y = y
     return best_y
+
+
+def mw_choose_dense(state: MWState, q: float) -> np.ndarray:
+    """Distribution minimizing the worst-label weighted loss.
+
+    h0 and h1 are the weighted losses of the point masses under each
+    label, so by minimax the game value is the maximum over lam in
+    [0, 1] of phi(lam) = min_k h1_k + lam * d_k with d = h0 - h1, a
+    concave, piecewise linear function.  If the line lowest at lam = 0
+    does not rise, lam = 0 is optimal and its vertex is played; likewise
+    at lam = 1.  Otherwise a rising line a and a falling line b bracket
+    the optimum, and at their crossing the lowest line k either lies no
+    lower (the crossing is optimal: the mixture of a and b that
+    equalizes the two labels is played) or replaces a if it rises, b if
+    not.  A replaced line is never lowest again, so at most m+1 steps
+    are taken.  The grid point nearest to q is played unless the
+    optimum is strictly lower.  Memory is O(m), and so is each step.
+    """
+    n = state.cfg.m + 1
+    w_pat, w_reg = _shares(state)
+    sq = np.array(score_pair(state.cfg.rule, q)).reshape(2, 1)
+    h0, h1 = state._grid_minus_y * (state.rho * w_pat) + (state._scores - sq) * w_reg
+    d = h0 - h1
+    a = int(h1.argmin())
+    b = int(h0.argmin())
+    if d[a] <= 0.0:
+        best = (a, a, 1.0)
+    elif d[b] >= 0.0:
+        best = (b, b, 1.0)
+    else:
+        for _ in range(n):
+            lam = (h1[b] - h1[a]) / (d[a] - d[b])
+            line = h1 + lam * d
+            k = int(line.argmin())
+            if not line[k] < min(line[a], line[b]):
+                i, j = min(a, b), max(a, b)
+                best = (i, j, d[j] / (d[j] - d[i]))
+                break
+            if d[k] > 0.0:
+                a = k
+            else:
+                b = k
+        else:
+            raise RuntimeError(f"mw_choose did not converge in m+1 = {n} steps")
+
+    i, j, t = best
+    value = max(t * h0[i] + (1.0 - t) * h0[j], t * h1[i] + (1.0 - t) * h1[j])
+    j_star = nearest_grid_index(q, n - 1)
+    if not value < max(h0[j_star], h1[j_star]):
+        i, j, t = j_star, j_star, 1.0
+    x = np.zeros(n)
+    x[i] = t
+    x[j] += 1.0 - t
+    return x
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _trace_csv_text(trace) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    cps = {c.t: c for c in trace.checkpoints}
+    for idx in range(len(trace.p)):
+        t = idx + 1
+        row = [t, repr(trace.q[idx]), repr(trace.p[idx]), trace.y[idx]]
+        c = cps.get(t)
+        if c is None:
+            row += ["", "", "", ""]
+        else:
+            row += [repr(c.calib_l1), repr(c.average_regret),
+                    repr(c.recalibration_rate), repr(c.dist_to_target)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _trace_json_rows(trace) -> list:
+    cps = {c.t: c for c in trace.checkpoints}
+    rows = []
+    for idx in range(len(trace.p)):
+        t = idx + 1
+        c = cps.get(t)
+        rows.append({
+            "t": t,
+            "q": trace.q[idx],
+            "p": trace.p[idx],
+            "y": trace.y[idx],
+            "calib_l1": c.calib_l1 if c else None,
+            "avg_regret": c.average_regret if c else None,
+            "recal_rate": c.recalibration_rate if c else None,
+            "dist_to_target": c.dist_to_target if c else None,
+        })
+    return rows

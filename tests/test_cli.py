@@ -4,12 +4,17 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import recal.cli as cli
-from recal.geometry import point_mass
-from recal.harness import checkpoint_schedule
+from recal.geometry import game_config, point_mass
+from recal.harness import ConfigError, ExperimentConfig, checkpoint_schedule, run_experiment
+from recal.metrics import default_regret_slack
+from recal.scoring import parse_rule
+
+from .reference import _json_text, _trace_csv_text, _trace_json_rows
 
 
 def _run_args(out, **kw):
@@ -55,6 +60,16 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     assert summary["wall_time_s"] > 0.0
 
 
+def test_summary_constants_are_the_runs_game_config(tmp_path):
+    assert cli.main(_run_args(tmp_path, **{"--m": "16", "--rule": "log:0.05"})) == 0
+    resolved = json.loads((tmp_path / "summary.json").read_text())["resolved"]
+    rule = parse_rule("log:0.05")
+    cfg = game_config(16, rule)
+    assert resolved == {"m": 16, "lambda": cfg.lam, "cal_threshold": cfg.cal_threshold,
+                        "reg_threshold": cfg.reg_threshold,
+                        "delta": default_regret_slack(rule, 16)}
+
+
 def test_run_outputs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(_run_args(a)) == 0
@@ -70,6 +85,75 @@ def test_run_json_format(tmp_path):
     assert rows[0]["dist_to_target"] is not None
     assert rows[2]["dist_to_target"] is None  # t = 3 is not a checkpoint
     assert not (tmp_path / "trace.csv").exists()
+
+
+FORECASTERS = ("approach", "passthrough", "mw")
+LABEL_ORACLES = [(labels, oracle)
+                 for labels in ("iid_bernoulli:0.5", "periodic:0110")
+                 for oracle in ("constant:0.5", "clairvoyant:0.2", "truth", "noisy_truth:0.1")
+                 ] + [("adversarial_greedy", "constant:0.5")]
+
+
+def _matrix_trace(forecaster, labels, oracle, T):
+    return run_experiment(ExperimentConfig(T=T, m=3, forecaster=forecaster, labels=labels,
+                                           oracle=oracle, seed=17))
+
+
+@pytest.mark.parametrize("labels, oracle", LABEL_ORACLES)
+@pytest.mark.parametrize("forecaster", FORECASTERS)
+def test_trace_blocks_match_whole_file_formatters(monkeypatch, forecaster, labels, oracle):
+    # The chunked writer spells every trace exactly as the formatters
+    # that built the whole file did, with block boundaries on and beside
+    # checkpoint rows (blocks of 1, 3 and 7 rows) as well as the default.
+    for T in (1, 2, 3, 1000, 1024):
+        if forecaster == "mw" and T < 3:
+            # mw needs T >= ln(2^(m+1) + 1), which is 2.83 at m = 3
+            with pytest.raises(ConfigError):
+                _matrix_trace(forecaster, labels, oracle, T)
+            continue
+        trace = _matrix_trace(forecaster, labels, oracle, T)
+        want = {"csv": _trace_csv_text(trace), "json": _json_text(_trace_json_rows(trace))}
+        for rows in (cli.TRACE_BLOCK_ROWS, 1, 3, 7):
+            monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", rows)
+            for fmt in ("csv", "json"):
+                assert "".join(cli._trace_blocks(trace, fmt)) == want[fmt], (T, rows, fmt)
+
+
+def test_trace_cells_have_the_types_the_writer_formats():
+    # The writer formats q and p by float repr and y by int repr; a numpy
+    # scalar would spell itself 'np.float64(0.5)' in the CSV.
+    for forecaster in FORECASTERS:
+        for labels, oracle in LABEL_ORACLES:
+            trace = _matrix_trace(forecaster, labels, oracle, 64)
+            assert {type(v) for v in trace.q} == {float}, (forecaster, labels, oracle)
+            assert {type(v) for v in trace.p} == {float}, (forecaster, labels, oracle)
+            assert {type(v) for v in trace.y} == {int}, (forecaster, labels, oracle)
+            for c in trace.checkpoints:
+                assert {type(v) for v in (c.calib_l1, c.average_regret,
+                                          c.recalibration_rate, c.dist_to_target)} == {float}
+
+
+def _writer_peak(trace, fmt):
+    """Peak bytes the writer allocates, excluding the trace, and its
+    longest block."""
+    longest = 0
+    tracemalloc.start()
+    try:
+        for block in cli._trace_blocks(trace, fmt):
+            longest = max(longest, len(block))
+        return tracemalloc.get_traced_memory()[1], longest
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_writer_memory_does_not_grow_with_T():
+    # JSON is the longer spelling; at 2^17 the whole file is 128 blocks.
+    peaks = {}
+    for T in (2**14, 2**17):
+        trace = run_experiment(ExperimentConfig(T=T, m=8, forecaster="passthrough", seed=1))
+        peaks[T], block = _writer_peak(trace, "json")
+    assert abs(peaks[2**17] - peaks[2**14]) <= block, (peaks, block)
+    assert peaks[2**17] <= 8 * block, (peaks, block)
 
 
 def test_run_flag_overrides_config_file(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from recal import harness
-from recal.cli import _trace_csv_text
+from recal.cli import _trace_blocks
 from recal.cli import main as cli_main
 from recal.geometry import (
     ForecastDistribution,
@@ -385,7 +385,21 @@ def test_checkpoints_follow_schedule():
 ])
 def test_trace_bytes_are_pinned(kw, digest):
     # traces must not move by a single bit
-    text = _trace_csv_text(run_experiment(ExperimentConfig(**kw)))
+    text = "".join(_trace_blocks(run_experiment(ExperimentConfig(**kw)), "csv"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(T=512, m=16, forecaster="passthrough", rule="log:0.1", oracle="constant:0.5",
+          labels="adversarial_greedy", seed=3),
+     "a8c91fc398c9c0cc76716a355b923218ae15e170010c17e0362fa67a9d9d8c61"),
+    (dict(T=512, m=8, forecaster="mw", rule="brier", oracle="clairvoyant:0.2",
+          labels="periodic:0110", seed=5),
+     "1de81337df9203de93684b5939e988f365f6376692d5eb58865edb7fc2c36fa3"),
+])
+def test_trace_json_bytes_are_pinned(kw, digest):
+    # the JSON spelling of two CSV pins above, as the indented encoder wrote it
+    text = "".join(_trace_blocks(run_experiment(ExperimentConfig(**kw)), "json"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

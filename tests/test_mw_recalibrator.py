@@ -13,6 +13,8 @@ from recal.geometry import game_config, nearest_grid_index, unchecked_game_confi
 from recal.harness import ExperimentConfig, run_experiment
 from recal.mw_recalibrator import (
     MWState,
+    _choose_support,
+    _update_support,
     dp_denominator,
     dp_weighted_loss,
     lifted_dimension,
@@ -21,12 +23,13 @@ from recal.mw_recalibrator import (
     mw_init,
     mw_update,
 )
-from recal.scoring import brier, log_clipped
+from recal.scoring import brier, log_clipped, score_pair
 
 from .reference import (
     DenseMW,
     dense_loss_parts,
     lifted_max_reference,
+    mw_choose_dense,
     mw_choose_scan,
     scan_state,
     vertex_losses_scan,
@@ -421,17 +424,51 @@ def _differential_states(cfg, rng):
     yield state
 
 
-def test_choose_matches_scalar_scan_game_value():
+def _differential_draws():
+    """(state, q) over m = 1..40, both rules, every differential state."""
     rng = np.random.default_rng(2024)
-    draws = 0
     for m in range(1, 41):
         for rule in (brier(), log_clipped(0.05)):
             cfg = unchecked_game_config(m, rule)
             qs = [i / m for i in range(m + 1)] + rng.random(4).tolist()
             for state in _differential_states(cfg, rng):
                 for q in qs:
-                    _assert_same_value(state, q)
-                    draws += 1
+                    yield state, q
+
+
+def test_choose_matches_scalar_scan_game_value():
+    draws = 0
+    for state, q in _differential_draws():
+        _assert_same_value(state, q)
+        draws += 1
+    assert draws >= 10_000
+
+
+def _bits(play):
+    return [(type(k), k, type(w), w.hex()) for k, w in play]
+
+
+def test_choose_support_is_the_dense_plays_nonzero_entries():
+    # The support the harness plays and updates on is exactly the dense
+    # distribution's nonzero entries, as the dense mw_choose built it,
+    # and stepping on it moves the state as mw_update on that x does.
+    # The dense form could hold a -0.0 (a mixture weight that underflows
+    # with the sign of d[j]); mw_choose now writes +0.0 there.
+    draws = 0
+    for state, q in _differential_draws():
+        x = mw_choose_dense(state, q)
+        idx = x.nonzero()[0]
+        support = _choose_support(state, q)
+        assert _bits(support) == _bits(zip(idx.tolist(), x[idx].tolist())), (q, x)
+        assert np.array_equal(mw_choose(state, q), x)
+        y = draws % 2
+        dense, step = _clone(state), _clone(state)
+        mw_update(dense, x, q, y)
+        _update_support(step, support, score_pair(state.cfg.rule, q)[y], y)
+        for field in ("u", "rho", "log_a"):
+            assert getattr(step, field).tobytes() == getattr(dense, field).tobytes()
+        assert step.r.hex() == dense.r.hex() and step.t == dense.t
+        draws += 1
     assert draws >= 10_000
 
 
@@ -467,10 +504,10 @@ def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
     def checked(state, q):
         calls.append(q)
         _assert_same_value(state, q)
-        return mw_choose(state, q)
+        return _choose_support(state, q)
 
     # the binding _MWForecaster.predict looks up at call time
-    monkeypatch.setattr(harness, "mw_choose", checked)
+    monkeypatch.setattr(harness, "_choose_support", checked)
     slow = run_experiment(cfg)
     assert len(calls) == cfg.T
     assert fast.p == slow.p
