@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import string
 import sys
@@ -19,23 +18,9 @@ import tempfile
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .geometry import (
-    HalfspaceParam,
-    PayoffVector,
-    dist_to_target,
-    dual_linear_min,
-    game_config,
-    nearest_grid_index,
-    payoff_vector,
-    unchecked_game_config,
-)
+from . import checks
 from .harness import ConfigError, ExperimentConfig, run_experiment, sweep
-from .metrics import BucketStats, default_regret_slack
-from .mw_recalibrator import dp_denominator, dp_weighted_loss, mw_init, mw_update
-from .recalibrator import approach_with_cost
-from .scoring import brier, log_clipped, regret_term, score
+from .metrics import default_regret_slack
 
 RUN_KEYS = ("forecaster", "rule", "m", "exponent", "T", "oracle", "labels",
             "seed", "out", "format")
@@ -146,7 +131,12 @@ def _atomic_write(path: str, blocks) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.",
                                suffix="." + os.path.basename(path))
+    # mkstemp creates the file 0600 and os.replace keeps that mode: give
+    # it the mode open(path, "w") would, 0666 less the umask.
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines(blocks)
         os.replace(tmp, path)
@@ -317,16 +307,7 @@ def cmd_sweep(args) -> int:
     out_dir = _as_str(merged, "out")
     T_grid = _as_T_grid(merged)
     seeds = _as_int(merged, "seeds", required=True)
-    base = ExperimentConfig(
-        T=T_grid[0],
-        rule=_as_str(merged, "rule"),
-        forecaster=_as_str(merged, "forecaster"),
-        m=_as_int(merged, "m"),
-        exponent=_as_float(merged, "exponent"),
-        oracle=_as_str(merged, "oracle"),
-        labels=_as_str(merged, "labels"),
-        seed=_as_int(merged, "seed", required=True),
-    )
+    base = _experiment_config({**merged, "T": T_grid[0]})
     result = sweep(base, T_grid, seeds)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -359,208 +340,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_halfspace_response(seed: int, quick: bool):
-    """The oracle's response satisfies <payoff, theta> <= 1/m + reg_threshold
-    for both labels, for random theta in K, q, grid size, and rule."""
-    n = 2000 if quick else 20000
-    rng = np.random.default_rng(seed)
-    variants = (("brier", brier(), 3), ("log:0.05", log_clipped(0.05), 9))
-    cfg_cache = {}
-    worst = math.inf
-    witness = ""
-    for k in range(n):
-        name, rule, m_lo = variants[k % 2]
-        m = int(rng.integers(m_lo, 65))
-        cfg = cfg_cache.get((name, m))
-        if cfg is None:
-            cfg = cfg_cache.setdefault((name, m), game_config(m, rule))
-        theta = HalfspaceParam(rng.uniform(-1.0, 1.0, m + 1), float(rng.uniform()))
-        q = float(rng.random())
-        w, _ = approach_with_cost(cfg, theta, q)
-        bound = 1.0 / m + cfg.reg_threshold
-        for y in (0, 1):
-            v = payoff_vector(cfg, w, q, y)
-            slack = bound - (float(v.cal @ theta.a) + theta.b * v.reg)
-            if slack < worst:
-                worst = slack
-                witness = f"m={m} rule={name} q={q:.6f} y={y}"
-    ok = worst >= -1e-9
-    detail = f"worst slack {worst:.3e} over {2 * n} checks"
-    if not ok:
-        detail += f"; violated at {witness}"
-    return "halfspace_response", ok, detail
-
-
-def _check_distance_dual(seed: int, quick: bool):
-    """dist_to_target(v) == -1/m - reg_threshold - dual_linear_min(v) for
-    vectors with calibration l1 and regret both beyond their thresholds."""
-    n = 1000 if quick else 10000
-    rng = np.random.default_rng(seed)
-    variants = (("brier", brier(), 3), ("log:0.05", log_clipped(0.05), 9))
-    cfg_cache = {}
-    worst = 0.0
-    for k in range(n):
-        name, rule, m_lo = variants[k % 2]
-        m = int(rng.integers(m_lo, 65))
-        cfg = cfg_cache.get((name, m))
-        if cfg is None:
-            cfg = cfg_cache.setdefault((name, m), game_config(m, rule))
-        cal = rng.uniform(-1.0, 1.0, m + 1)
-        l1 = float(np.abs(cal).sum())
-        target_l1 = cfg.cal_threshold + float(rng.exponential(0.5))
-        if l1 == 0.0:
-            cal[0] = target_l1
-        else:
-            cal *= target_l1 / l1
-        reg = cfg.reg_threshold + float(rng.exponential(0.3))
-        v = PayoffVector(cal, reg)
-        lhs = dist_to_target(cfg, v)
-        rhs = -cfg.cal_threshold - cfg.reg_threshold - dual_linear_min(cfg, v)
-        worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-12
-    return "distance_dual_identity", ok, f"worst gap {worst:.3e} over {n} vectors"
-
-
-def _check_rate_identity(seed: int, quick: bool):
-    """Bucket-computed recalibration rate equals the expression built
-    from the recalibration vector, on random traces."""
-    n = 100 if quick else 1000
-    rng = np.random.default_rng(seed)
-    rules = (brier(), log_clipped(0.05))
-    worst = 0.0
-    for k in range(n):
-        rule = rules[k % 2]
-        m = int(rng.integers(1, 17))
-        T = int(rng.integers(1, 301))
-        stats = BucketStats(m)
-        for _ in range(T):
-            i = int(rng.integers(0, m + 1))
-            stats.record(i / m, float(rng.random()), int(rng.integers(0, 2)), rule)
-        delta = default_regret_slack(rule, m)
-        lhs = stats.recalibration_rate(delta)
-        c, R = stats.recalibration_vector()
-        rhs = max(0.0, float(np.abs(c).sum()) - 0.5 / m, R - delta / 2.0)
-        worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-12
-    return "rate_bucket_identity", ok, f"worst gap {worst:.3e} over {n} traces"
-
-
-def _check_mw_dp(seed: int, quick: bool):
-    """dp_denominator and dp_weighted_loss match brute-force enumeration
-    over all 2^(m+1)+1 lifted coordinates after random update streams."""
-    ms = (2, 3, 4) if quick else tuple(range(2, 11))
-    updates = 20 if quick else 100
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for m in ms:
-        rule = brier() if m % 2 == 0 else log_clipped(0.05)
-        cfg = unchecked_game_config(m, rule)
-        state = mw_init(cfg, 200)
-        grid = np.asarray(cfg.grid)
-        scores = (np.asarray(cfg.score0), np.asarray(cfg.score1))
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=m + 1)))
-        cal_sums = np.zeros(m + 1)
-        reg_sum = 0.0
-        for _ in range(updates):
-            x = rng.dirichlet(np.ones(m + 1))
-            q = float(rng.random())
-            y = int(rng.integers(0, 2))
-            cal = x * (grid - y)
-            r = float(x @ scores[y]) - score(rule, q, y)
-            mw_update(state, x, q, y)
-            cal_sums += cal
-            reg_sum += r
-        pattern = np.exp(state.eta * (signs @ cal_sums))
-        reg_weight = math.exp(state.eta * reg_sum)
-        bf_den = reg_weight + float(pattern.sum())
-        worst = max(worst, abs(dp_denominator(state) - bf_den) / max(1.0, abs(bf_den)))
-        xp = rng.dirichlet(np.ones(m + 1))
-        qp = float(rng.random())
-        yp = int(rng.integers(0, 2))
-        calp = xp * (grid - yp)
-        rp = float(xp @ scores[yp]) - score(rule, qp, yp)
-        bf_loss = (float(pattern @ (signs @ calp)) + reg_weight * rp) / bf_den
-        dp_loss = dp_weighted_loss(state, xp, qp, yp)
-        worst = max(worst, abs(dp_loss - bf_loss) / max(1.0, abs(bf_loss)))
-    ok = worst <= 1e-9
-    return "mw_dp_consistency", ok, f"worst rel err {worst:.3e} over m in {ms}"
-
-
-def _check_nearest_grid(quick: bool):
-    """Playing the grid point nearest q keeps the per-label raw regret
-    within 2*L_s/m^2.
-
-    This per-label form is intentionally strict and is known to fail
-    near the ends of [0, 1]; the label-averaged form (probability-q
-    mixture of the two regrets) is what the halfspace_response suite
-    exercises and it holds.  The failure is reported honestly.
-    """
-    qs = np.linspace(0.0, 1.0, 100 if quick else 1000)
-    variants = (("brier", brier()), ("log:0.05", log_clipped(0.05)))
-    worst = -math.inf
-    witness = ""
-    checks = 0
-    for name, rule in variants:
-        for m in range(3, 33):
-            bound = 2.0 * rule.lipschitz / (m * m)
-            for q in qs:
-                qf = float(q)
-                p = nearest_grid_index(qf, m) / m
-                for y in (0, 1):
-                    excess = regret_term(rule, p, qf, y) - bound
-                    checks += 1
-                    if excess > worst:
-                        worst = excess
-                        witness = f"m={m} rule={name} q={qf:.6f} y={y}"
-    ok = worst <= 1e-12
-    detail = f"worst excess {worst:.3e} over {checks} checks"
-    if not ok:
-        detail += f"; violated at {witness} (label-averaged form does hold)"
-    return "nearest_grid_regret", ok, detail
-
-
-def _check_rounding_bound(quick: bool):
-    """Playing the grid point nearest q keeps the label-averaged regret
-    E_{y~Bern(q)}[S(round(q), y) - S(q, y)] within 2*L_s/m^2, on the
-    nearest_grid_regret grid."""
-    qs = np.linspace(0.0, 1.0, 100 if quick else 1000)
-    variants = (("brier", brier()), ("log:0.05", log_clipped(0.05)))
-    ms = range(3, 33)
-    worst = -math.inf
-    witness = ""
-    for name, rule in variants:
-        for m in ms:
-            bound = 2.0 * rule.lipschitz / (m * m)
-            for q in qs:
-                qf = float(q)
-                p = nearest_grid_index(qf, m) / m
-                expected = ((1.0 - qf) * regret_term(rule, p, qf, 0)
-                            + qf * regret_term(rule, p, qf, 1))
-                if expected / bound > worst:
-                    worst = expected / bound
-                    witness = f"m={m} rule={name} q={qf:.6f}"
-    ok = worst <= 1.0
-    checks = len(variants) * len(ms) * qs.size
-    detail = f"worst regret/bound {worst:.3f} over {checks} checks, at {witness}"
-    return "label_averaged_rounding", ok, detail
-
-
 def cmd_verify(args) -> int:
     seed = args.seed
-    quick = bool(args.quick)
-    results = [
-        _check_halfspace_response(seed, quick),
-        _check_distance_dual(seed + 1, quick),
-        _check_rate_identity(seed + 2, quick),
-        _check_mw_dp(seed + 3, quick),
-        _check_nearest_grid(quick),
-        _check_rounding_bound(quick),
-    ]
+    scale = 1 if args.quick else 10
+    m_max, updates = (4, 20) if args.quick else (10, 100)
+    suites = (
+        ("halfspace_response", checks.halfspace_response, (2000 * scale, seed)),
+        ("distance_dual_identity", checks.distance_dual, (1000 * scale, seed + 1)),
+        ("rate_bucket_identity", checks.rate_identity, (100 * scale, seed + 2)),
+        ("mw_dp_consistency", checks.mw_dp, (m_max, updates, 1, seed + 3)),
+        ("nearest_grid_regret", checks.nearest_grid_regret, (100 * scale,)),
+        ("label_averaged_rounding", checks.label_averaged_rounding, (100 * scale,)),
+    )
     failures = 0
-    for name, ok, detail in results:
+    for name, check, sizes in suites:
+        ok, _, detail = check(*sizes)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        if not ok:
-            failures += 1
+        failures += not ok
     return 0 if failures == 0 else 1
 
 

@@ -14,28 +14,12 @@ import time
 import numpy as np
 
 import recal.cli as cli
-from recal.geometry import (
-    HalfspaceParam,
-    PayoffVector,
-    dist_to_target,
-    dual_linear_min,
-    game_config,
-    nearest_grid_index,
-    payoff_vector,
-    unchecked_game_config,
-)
+from recal import checks
+from recal.geometry import HalfspaceParam, game_config
 from recal.harness import ExperimentConfig, run_experiment, sweep
-from recal.metrics import BucketStats, default_regret_slack
-from recal.mw_recalibrator import (
-    dp_denominator,
-    dp_weighted_loss,
-    lifted_dimension,
-    lifted_max_coordinate,
-    mw_init,
-    mw_update,
-)
+from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
 from recal.recalibrator import approach_with_cost, dual_set_diameter
-from recal.scoring import brier, log_clipped, regret_term, score
+from recal.scoring import brier
 
 G = math.sqrt(2.0)
 
@@ -51,32 +35,9 @@ def _per_run_bound(m: int, T: int) -> float:
 
 def test_criterion_01_halfspace_oracle_inequality():
     t0 = time.perf_counter()
-    n = 100_000
-    rng = np.random.default_rng(1)
-    variants = (("brier", brier(), 3), ("log:0.05", log_clipped(0.05), 9))
-    cfg_cache = {}
-    violations = 0
-    worst_slack = math.inf
-    for k in range(n):
-        name, rule, m_lo = variants[k % 2]
-        m = int(rng.integers(m_lo, 65))
-        cfg = cfg_cache.get((name, m))
-        if cfg is None:
-            cfg = cfg_cache.setdefault((name, m), game_config(m, rule))
-        theta = HalfspaceParam(rng.uniform(-1.0, 1.0, m + 1), float(rng.uniform()))
-        q = float(rng.random())
-        w, _ = approach_with_cost(cfg, theta, q)
-        bound = 1.0 / m + cfg.reg_threshold
-        for y in (0, 1):
-            v = payoff_vector(cfg, w, q, y)
-            slack = bound - (float(v.cal @ theta.a) + theta.b * v.reg)
-            worst_slack = min(worst_slack, slack)
-            if slack < -1e-9:
-                violations += 1
+    ok, _, detail = checks.halfspace_response(100_000, seed=1)
     elapsed = time.perf_counter() - t0
-    ok = violations == 0 and elapsed < 30.0
-    _report(1, ok, f"{violations} violations over {2 * n} checks, "
-                   f"worst slack {worst_slack:.3e}, {elapsed:.1f}s (< 30s)")
+    _report(1, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s (< 30s)")
 
 
 def test_criterion_02_oracle_evaluation_budget():
@@ -109,45 +70,13 @@ def test_criterion_02_oracle_evaluation_budget():
 
 
 def test_criterion_03_distance_dual_identity():
-    n = 10_000
-    rng = np.random.default_rng(3)
-    variants = ((brier(), 3), (log_clipped(0.05), 9))
-    cfg_cache = {}
-    worst = 0.0
-    for k in range(n):
-        rule, m_lo = variants[k % 2]
-        m = int(rng.integers(m_lo, 65))
-        cfg = cfg_cache.get((rule.kind, m))
-        if cfg is None:
-            cfg = cfg_cache.setdefault((rule.kind, m), game_config(m, rule))
-        cal = rng.normal(size=m + 1)
-        cal *= (cfg.cal_threshold + rng.exponential()) / np.abs(cal).sum()
-        v = PayoffVector(cal, cfg.reg_threshold + rng.exponential())
-        lhs = dist_to_target(cfg, v)
-        rhs = -cfg.cal_threshold - cfg.reg_threshold - dual_linear_min(cfg, v)
-        worst = max(worst, abs(lhs - rhs))
-    ok = worst <= 1e-12
-    _report(3, ok, f"worst |primal - dual| = {worst:.3e} over {n} vectors (tol 1e-12)")
+    ok, _, detail = checks.distance_dual(10_000, seed=3)
+    _report(3, ok, detail)
 
 
 def test_criterion_04_rate_bucket_identity():
-    n = 1000
-    rng = np.random.default_rng(4)
-    rules = (brier(), log_clipped(0.05))
-    worst = 0.0
-    for k in range(n):
-        rule = rules[k % 2]
-        m = int(rng.integers(1, 17))
-        stats = BucketStats(m)
-        for _ in range(int(rng.integers(1, 301))):
-            stats.record(int(rng.integers(0, m + 1)) / m, float(rng.random()),
-                         int(rng.integers(0, 2)), rule)
-        delta = default_regret_slack(rule, m)
-        c, R = stats.recalibration_vector()
-        rhs = max(0.0, float(np.abs(c).sum()) - 0.5 / m, R - delta / 2.0)
-        worst = max(worst, abs(stats.recalibration_rate(delta) - rhs))
-    ok = worst <= 1e-12
-    _report(4, ok, f"worst gap {worst:.3e} over {n} traces (tol 1e-12)")
+    ok, _, detail = checks.rate_identity(1000, seed=4)
+    _report(4, ok, detail)
 
 
 def test_criterion_05_per_run_approachability_battery():
@@ -232,77 +161,21 @@ def test_criterion_07_tradeoff_endpoint_two_fifths():
 
 
 def test_criterion_08_nearest_grid_pointwise_regret():
-    violations = 0
-    worst_excess = 0.0
-    witness = ""
-    checks = 0
-    for rule in (brier(), log_clipped(0.05)):
-        for m in range(3, 33):
-            bound = 2.0 * rule.lipschitz / m**2
-            for q in np.linspace(0.0, 1.0, 1000):
-                q = float(q)
-                p = nearest_grid_index(q, m) / m
-                for y in (0, 1):
-                    r = regret_term(rule, p, q, y)
-                    checks += 1
-                    if r > bound:
-                        violations += 1
-                        if r - bound > worst_excess:
-                            worst_excess = r - bound
-                            witness = (f"m={m} rule={rule.kind} q={q:.6f} y={y}: "
-                                       f"regret {r:.4f} > {bound:.4f}")
-    ok = violations == 0
-    _report(8, ok, f"{violations} violations over {checks} checks; "
-                   f"worst excess {worst_excess:.3e}"
-                   + (f"; first worst at {witness}" if witness else ""))
+    ok, _, detail = checks.nearest_grid_regret(1000)
+    _report(8, ok, detail)
 
 
 def test_label_averaged_rounding_bound():
     # criterion 08's grid with the label averaged out: the expected
     # regret of rounding q to the grid, for y ~ Bernoulli(q), stays
     # within 2 * L_s / m^2 (the per-label form above does not)
-    from .reference import extended_score
-
-    worst = 0.0
-    for rule in (brier(), log_clipped(0.05)):
-        for m in range(3, 33):
-            bound = 2.0 * rule.lipschitz / m**2
-            for q in np.linspace(0.0, 1.0, 1000):
-                q = float(q)
-                p = nearest_grid_index(q, m) / m
-                regret = extended_score(rule, p, q) - extended_score(rule, q, q)
-                worst = max(worst, regret / bound)
-    assert worst <= 1.0, f"worst expected regret / bound {worst:.4f}"
+    ok, _, detail = checks.label_averaged_rounding(1000)
+    assert ok, detail
 
 
 def test_criterion_09_mw_dp_matches_enumeration():
-    from .reference import DenseMW
-
-    worst = 0.0
-    for m in range(2, 11):
-        rule = brier() if m % 2 == 0 else log_clipped(0.05)
-        cfg = unchecked_game_config(m, rule)
-        state = mw_init(cfg, 200)
-        dense = DenseMW(cfg, 200)
-        rng = np.random.default_rng(900 + m)
-        for _ in range(100):
-            x = rng.dirichlet(np.ones(m + 1))
-            q = float(rng.random())
-            y = int(rng.integers(0, 2))
-            mw_update(state, x, q, y)
-            dense.update(x, q, y)
-        bf_den = dense.denominator()
-        worst = max(worst, abs(dp_denominator(state) - bf_den) / max(1.0, abs(bf_den)))
-        for _ in range(5):
-            xp = rng.dirichlet(np.ones(m + 1))
-            qp = float(rng.random())
-            yp = int(rng.integers(0, 2))
-            bf = dense.weighted_loss(xp, qp, yp)
-            got = dp_weighted_loss(state, xp, qp, yp)
-            worst = max(worst, abs(got - bf) / max(1.0, abs(bf)))
-    ok = worst <= 1e-9
-    _report(9, ok, f"worst relative error {worst:.3e} over m in 2..10 "
-                   f"after 100 updates each (tol 1e-9)")
+    ok, _, detail = checks.mw_dp(m_max=10, updates=100, probes=5, seed=900)
+    _report(9, ok, detail)
 
 
 def test_criterion_10_mw_end_to_end_guarantee():

@@ -1,10 +1,14 @@
 """CLI: output files, config precedence, exit codes, and self-verification."""
 
 import json
+import os
+import re
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,22 @@ def test_run_outputs_are_byte_identical(tmp_path):
     assert cli.main(_run_args(a)) == 0
     assert cli.main(_run_args(b)) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask, mode):
+    # the mode open(path, "w") would give, not the temporary file's 0600
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    saved = os.umask(umask)
+    try:
+        assert cli.main(_run_args(tmp_path)) == 0
+        assert cli.main(["sweep", "--T-grid", "32,64", "--m", "4",
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(saved)
+    for name in ("trace.csv", "summary.json", "sweep.csv", "sweep_summary.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def test_run_json_format(tmp_path):
@@ -264,21 +284,44 @@ def test_verify_quick_reports_known_failure(capsys):
     assert statuses["label_averaged_rounding"].startswith("PASS")
 
 
-def test_verify_detects_broken_oracle(capsys, monkeypatch):
-    # sabotage the halfspace oracle: the self-check must notice
-    monkeypatch.setattr(cli, "approach_with_cost", lambda cfg, theta, q: (point_mass(0), 0))
-    code = cli.main(["verify", "--quick"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "halfspace_response: FAIL" in out
-
-
-def test_verify_detects_broken_rounding(capsys, monkeypatch):
+# What each passing suite checks, and a broken stand-in for it inside
+# recal.checks that the suite must catch.
+_SABOTAGE = {
+    "halfspace_response": ("approach_with_cost", lambda cfg, theta, q: (point_mass(0), 0)),
+    "distance_dual_identity": ("dual_linear_min", lambda cfg, v: 0.0),
+    "rate_bucket_identity": ("BucketStats.recalibration_rate", lambda stats, delta: -1.0),
+    "mw_dp_consistency": ("dp_denominator", lambda state: 0.0),
     # always rounding down to 0 breaks the label-averaged bound too
-    monkeypatch.setattr(cli, "nearest_grid_index", lambda p, m: 0)
+    "label_averaged_rounding": ("nearest_grid_index", lambda p, m: 0),
+}
+
+
+@pytest.mark.parametrize("suite", list(_SABOTAGE))
+def test_verify_detects_sabotage(suite, capsys, monkeypatch):
+    target, broken = _SABOTAGE[suite]
+    monkeypatch.setattr(f"recal.checks.{target}", broken)
     code = cli.main(["verify", "--quick"])
     assert code == 1
-    assert "label_averaged_rounding: FAIL" in capsys.readouterr().out
+    assert f"{suite}: FAIL" in capsys.readouterr().out
+
+
+def test_verify_under_python_O():
+    # the suites back the acceptance criteria, so none may rest on assert
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "recal.cli", "verify", "--quick"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    verdicts = [line.split(" (", 1)[0] for line in proc.stdout.splitlines()]
+    assert verdicts == [
+        "halfspace_response: PASS",
+        "distance_dual_identity: PASS",
+        "rate_bucket_identity: PASS",
+        "mw_dp_consistency: PASS",
+        "nearest_grid_regret: FAIL",
+        "label_averaged_rounding: PASS",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +347,16 @@ def test_main_module_help():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout and "verify" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+# ---------------------------------------------------------------------------
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
