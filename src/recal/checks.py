@@ -143,7 +143,7 @@ def mw_dp(m_max: int, updates: int, probes: int, seed: int):
         reg_sum = 0.0
         for _ in range(updates):
             x, q, y, cal, reg = play()
-            mw_update(state, x, q, y)
+            mw_update(state, enumerate(x.tolist()), score(rule, q, y), y)
             cal_sum += cal
             reg_sum += reg
         pattern = np.exp(state.eta * (signs @ cal_sum))

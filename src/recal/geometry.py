@@ -177,6 +177,44 @@ def payoff_vector(cfg: GameConfig, w: ForecastDistribution, q: float, y: int) ->
     return PayoffVector(cal, reg)
 
 
+# Sampling uniforms drawn from the generator at a time.
+UNIFORM_BLOCK = 256
+
+
+class PayoffLedger:
+    """A forecaster's payoff ledger, the sum of every round's expected
+    payoff, and its sampler.
+
+    The calibration block is an array that a round adds to through a
+    view (Python floats, the same IEEE sums, at a fraction of numpy's
+    per-item cost); ledger is a read-only view of it, which the greedy
+    adversary reads without a copy, and cum_reg is the regret
+    coordinate.  _uniform draws the forecaster's sampling uniforms
+    UNIFORM_BLOCK at a time from rng, the same values one scalar draw
+    each would give.
+    """
+
+    def __init__(self, cfg: GameConfig, rng=None):
+        self.cfg = cfg
+        self.rng = rng
+        self._cum_cal = np.zeros(cfg.m + 1)
+        self._cal_view = memoryview(self._cum_cal)
+        self.ledger = self._cal_view.toreadonly()
+        self.cum_reg = 0.0
+        # Unused uniforms of the current block, the next one last.
+        self._uniforms = []
+
+    @property
+    def cum_payoff(self) -> PayoffVector:
+        return PayoffVector(self._cum_cal.copy(), self.cum_reg)
+
+    def _uniform(self) -> float:
+        uniforms = self._uniforms
+        if not uniforms:
+            uniforms = self._uniforms = self.rng.random(UNIFORM_BLOCK)[::-1].tolist()
+        return uniforms.pop()
+
+
 def dist_to_target(cfg: GameConfig, v: PayoffVector) -> float:
     """l1 distance from v to the target set.
 
@@ -206,10 +244,3 @@ class HalfspaceParam:
     a: np.ndarray
     b: float
 
-
-def project_onto_K(theta_raw: np.ndarray) -> HalfspaceParam:
-    """Euclidean projection onto K: clamp a to [-1, 1] and b to [0, 1]."""
-    raw = np.asarray(theta_raw, dtype=float)
-    a = np.clip(raw[:-1], -1.0, 1.0)
-    b = float(min(1.0, max(0.0, raw[-1])))
-    return HalfspaceParam(a, b)

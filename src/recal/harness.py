@@ -13,15 +13,15 @@ import numpy as np
 
 from .geometry import (
     GameConfig,
+    PayoffLedger,
     PayoffVector,
-    ForecastDistribution,
     add_payoff,
     dist_to_target,
     game_config,
     nearest_grid_index,
 )
 from .metrics import BucketStats, default_regret_slack
-from .mw_recalibrator import _choose_support, _update_support, lifted_dimension, mw_init
+from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
 from .recalibrator import RecalibratorState
 from .scoring import parse_rule, score_pair
 
@@ -47,12 +47,17 @@ class ExperimentConfig:
     seed: int = 0
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def resolved_m(cfg: ExperimentConfig) -> int:
     if (cfg.m is None) == (cfg.exponent is None):
         raise ConfigError("exactly one of m and exponent must be set")
     if cfg.m is not None:
-        if cfg.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {cfg.m}")
+        if not (_is_int(cfg.m) and cfg.m >= 1):
+            raise ConfigError(f"m must be a positive integer, got {cfg.m!r}")
         return cfg.m
     x = cfg.exponent
     if not (EXPONENT_LO - EXPONENT_TOL <= x <= EXPONENT_HI + EXPONENT_TOL):
@@ -155,14 +160,14 @@ def make_oracle(spec: str, seed=None) -> OracleSource:
             raise ConfigError(f"clairvoyant shrinkage must be in [0, 0.5], got {param}")
         if kind == "constant" and not 0.0 <= param <= 1.0:
             raise ConfigError(f"constant quote must be in [0, 1], got {param}")
-        if kind == "noisy_truth" and param < 0.0:
-            raise ConfigError(f"noise level must be nonnegative, got {param}")
+        if kind == "noisy_truth" and not 0.0 <= param < math.inf:
+            raise ConfigError(f"noise level must be finite and nonnegative, got {param}")
         return OracleSource(kind, param, rng)
     raise ConfigError(f"unknown oracle {kind!r}")
 
 
-def _greedy_label(support, quote_scores, cal, reg: float, l1: float, t: int,
-                  cfg: GameConfig) -> tuple[int, float]:
+def adversary_label(support, quote_scores, cal, reg: float, l1: float, t: int,
+                    cfg: GameConfig) -> tuple[int, float]:
     """The greedy adversary: the label maximizing next-step average
     distance to the target set, and the ledger's l1 norm after it.
 
@@ -194,25 +199,6 @@ def _greedy_label(support, quote_scores, cal, reg: float, l1: float, t: int,
         if d > best_d:
             best_y, best_d, best_l1 = y, d, l1_y
     return best_y, best_l1
-
-
-def adversary_label(w: ForecastDistribution, theta, q: float,
-                    cum_payoff: PayoffVector, t: int, cfg: GameConfig) -> int:
-    """Label maximizing next-step average distance to the target set.
-
-    w is any play with a support of (index, weight) pairs; t is the
-    number of completed rounds; ties resolve to y = 1.  The
-    recalibrator's current parameter is observable but unused by this
-    greedy adversary, so callers may pass theta=None.  This is
-    _greedy_label with the ledger's l1 norm computed here.
-    """
-    if len(cum_payoff.cal) != cfg.m + 1:
-        raise ValueError(f"ledger must have m+1 = {cfg.m + 1} entries, "
-                         f"got {len(cum_payoff.cal)}")
-    if t < 0:
-        raise ValueError(f"completed rounds must be nonnegative, got {t}")
-    return _greedy_label(w.support, score_pair(cfg.rule, q), cum_payoff.cal,
-                         cum_payoff.reg, cum_payoff.cal_l1(), t, cfg)[0]
 
 
 def checkpoint_schedule(T: int) -> list[int]:
@@ -259,38 +245,18 @@ class _Play(NamedTuple):
     support: tuple
 
 
-class _PassthroughForecaster:
+class _PassthroughForecaster(PayoffLedger):
     """Plays the grid point nearest to each quote.
 
-    It also keeps the payoff ledger, the sum of every round's expected
-    payoff, which the MW forecaster reuses.  As in RecalibratorState,
-    the calibration block is an array that a round adds to through a
-    view, ledger is a read-only view of it and cum_reg the regret
-    coordinate, and predict keeps quote_scores, the round's
-    (score(q, 0), score(q, 1)), for observe.
+    predict keeps the play's support and quote_scores, the round's
+    (score(q, 0), score(q, 1)), for observe, which adds the round's
+    payoff to the ledger.
     """
 
-    def __init__(self, cfg: GameConfig):
-        self.cfg = cfg
-        self._cum_cal = np.zeros(cfg.m + 1)
-        self._cal_view = memoryview(self._cum_cal)
-        self.ledger = self._cal_view.toreadonly()
-        self.cum_reg = 0.0
-        self._support = ()
-        self._quote_scores = None
-
-    @property
-    def cum_payoff(self) -> PayoffVector:
-        return PayoffVector(self._cum_cal.copy(), self.cum_reg)
-
-    def _keep(self, q: float, support, quote_scores):
-        """Keep the round's play and quote scores for observe."""
-        self._support = support
-        self._quote_scores = score_pair(self.cfg.rule, q) if quote_scores is None else quote_scores
-
-    def predict(self, q: float, quote_scores=None):
+    def predict(self, q: float, quote_scores):
         i = nearest_grid_index(q, self.cfg.m)
-        self._keep(q, ((i, 1.0),), quote_scores)
+        self._support = ((i, 1.0),)
+        self._quote_scores = quote_scores
         return self.cfg.grid[i], _Play(self._support)
 
     def observe(self, q: float, y: int) -> None:
@@ -299,18 +265,18 @@ class _PassthroughForecaster:
 
 
 class _MWForecaster(_PassthroughForecaster):
-    """Plays mw_choose's distribution by its support, samples a grid
-    point from it by inverse CDF over the support in ascending order,
-    and feeds the support to mw_update's step."""
+    """Plays mw_choose's support, samples a grid point from it by
+    inverse CDF over the support in ascending order, and feeds the
+    support to mw_update."""
 
     def __init__(self, cfg: GameConfig, T: int, rng):
-        super().__init__(cfg)
+        super().__init__(cfg, rng)
         self.state = mw_init(cfg, T)
-        self.rng = rng
 
-    def predict(self, q: float, quote_scores=None):
-        self._keep(q, _choose_support(self.state, q), quote_scores)
-        u = self.rng.random()
+    def predict(self, q: float, quote_scores):
+        self._support = mw_choose(self.state, q)
+        self._quote_scores = quote_scores
+        u = self._uniform()
         acc = 0.0
         for i, wi in self._support:
             acc += wi
@@ -320,17 +286,17 @@ class _MWForecaster(_PassthroughForecaster):
 
     def observe(self, q: float, y: int) -> None:
         super().observe(q, y)
-        _update_support(self.state, self._support, self._quote_scores[y], y)
+        mw_update(self.state, self._support, self._quote_scores[y], y)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     t_start = time.perf_counter()
-    if cfg.T < 1:
-        raise ConfigError(f"T must be a positive integer, got {cfg.T}")
+    if not (_is_int(cfg.T) and cfg.T >= 1):
+        raise ConfigError(f"T must be a positive integer, got {cfg.T!r}")
     if cfg.forecaster not in FORECASTERS:
         raise ConfigError(f"unknown forecaster {cfg.forecaster!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if not (_is_int(cfg.seed) and cfg.seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
     try:
         rule = parse_rule(cfg.rule)
     except ValueError as exc:
@@ -385,8 +351,8 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         quote_scores = score_pair(rule, q)
         p, w = forecaster.predict(q, quote_scores)
         if adversarial:
-            y, ledger_l1 = _greedy_label(w.support, quote_scores, ledger, forecaster.cum_reg,
-                                         ledger_l1, t1 - 1, gcfg)
+            y, ledger_l1 = adversary_label(w.support, quote_scores, ledger, forecaster.cum_reg,
+                                           ledger_l1, t1 - 1, gcfg)
             ys_out.append(y)
         else:
             y = ys[t1 - 1]

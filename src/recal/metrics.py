@@ -81,18 +81,6 @@ class BucketStats:
                 c[i] = (n / self.T) * (i / m - self.label_sums[i] / n)
         return c, self.average_regret()
 
-    def merge(self, other: "BucketStats") -> "BucketStats":
-        """Coordinate-wise sum, for aggregating parallel runs."""
-        if other.m != self.m:
-            raise ValueError(f"cannot merge resolutions {self.m} and {other.m}")
-        out = BucketStats(self.m)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.label_sums = [a + b for a, b in zip(self.label_sums, other.label_sums)]
-        out.T = self.T + other.T
-        out.cum_forecaster_score = self.cum_forecaster_score + other.cum_forecaster_score
-        out.cum_oracle_score = self.cum_oracle_score + other.cum_oracle_score
-        return out
-
 
 def default_regret_slack(rule: ScoringRule, m: int) -> float:
     """The regret tolerance delta = 4 * L_s / m**2 paired with resolution m."""

@@ -129,10 +129,10 @@ def dp_weighted_loss(state: MWState, x, q: float, y: int) -> float:
     return w_pat * cal + w_reg * reg
 
 
-def _choose_support(state: MWState, q: float) -> tuple:
-    """mw_choose's play as its (index, weight) support: ascending
-    indices, Python floats, no zero weight, the nonzero entries of the
-    dense distribution bit for bit.
+def mw_choose(state: MWState, q: float) -> tuple:
+    """The distribution minimizing the worst-label weighted loss, as its
+    (index, weight) support: ascending indices, Python floats, no zero
+    weight, at most two entries.
 
     h0 and h1 are the weighted losses of the point masses under each
     label, so by minimax the game value is the maximum over lam in
@@ -184,24 +184,9 @@ def _choose_support(state: MWState, q: float) -> tuple:
     return tuple((k, float(w)) for k, w in play if w)
 
 
-def mw_choose(state: MWState, q: float) -> np.ndarray:
-    """Distribution minimizing the worst-label weighted loss, as a dense
-    m+1 vector (the play of _choose_support)."""
-    x = np.zeros(state.cfg.m + 1)
-    for k, w in _choose_support(state, q):
-        x[k] = w
-    return x
-
-
-def mw_update(state: MWState, x, q: float, y: int) -> MWState:
-    """Fold one round's loss into the log weights, on the support of x."""
-    idx, w = _support(state.cfg, x)
-    return _update_support(state, zip(idx, w), score(state.cfg.rule, q, y), y)
-
-
-def _update_support(state: MWState, support, sq: float, y: int) -> MWState:
-    """mw_update for a play given by its (index, weight) support, with
-    sq = score(q, y)."""
+def mw_update(state: MWState, support, sq: float, y: int) -> MWState:
+    """Fold one round's loss into the log weights, on the play's
+    (index, weight) support only; sq is score(q, y)."""
     cfg = state.cfg
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0

@@ -18,7 +18,7 @@ from .geometry import (
     ForecastDistribution,
     GameConfig,
     HalfspaceParam,
-    PayoffVector,
+    PayoffLedger,
     nearest_grid_index,
     point_mass,
 )
@@ -29,9 +29,6 @@ GRAD_NORM_BOUND = math.sqrt(2.0)
 # Mixture weights degenerate below this; fall back to a point mass.
 DEGENERATE_DELTA = 1e-12
 
-# Sampling uniforms drawn from the generator at a time.
-UNIFORM_BLOCK = 256
-
 
 class ProtocolError(RuntimeError):
     """predict/observe called out of turn or with mismatched inputs."""
@@ -40,10 +37,6 @@ class ProtocolError(RuntimeError):
 def dual_set_diameter(m: int) -> float:
     """l2 diameter of the box K for grid resolution m."""
     return math.sqrt(4.0 * (m + 1) + 1.0)
-
-
-def ogd_learning_rate(m: int, t: int) -> float:
-    return dual_set_diameter(m) / (GRAD_NORM_BOUND * math.sqrt(t))
 
 
 def _approach(cfg, a, b, q, is_zero, quote_scores=None):
@@ -134,44 +127,28 @@ def approach(cfg: GameConfig, theta: HalfspaceParam, q: float) -> ForecastDistri
     return approach_with_cost(cfg, theta, q)[0]
 
 
-class RecalibratorState:
-    """Online state: theta in K, round counter, cumulative payoff, rng.
+class RecalibratorState(PayoffLedger):
+    """Online state: theta in K, round counter, payoff ledger, rng.
 
     predict and observe must strictly alternate.  The cumulative payoff
     uses the expected distribution w_t, not the sampled point; realized
     calibration of the sampled stream is measured separately.  The
-    state owns its generator's stream: it draws the sampling uniforms
-    UNIFORM_BLOCK at a time and uses one per mixture round, the same
-    values one scalar draw per mixture round would give.
+    state owns its generator's stream and uses one uniform per mixture
+    round.
     """
 
     def __init__(self, cfg: GameConfig, rng):
-        self.cfg = cfg
+        super().__init__(cfg, np.random.default_rng(rng))
         self.t = 1
-        self.rng = np.random.default_rng(rng)
         self._a = [0.0] * (cfg.m + 1)
         self._b = 0.0
         self._nnz = 0
-        self._cum_cal = np.zeros(cfg.m + 1)
-        # Per-round updates go through a view: it adds Python floats
-        # (the same IEEE sums) at a fraction of numpy's per-item cost.
-        self._cal_view = memoryview(self._cum_cal)
-        # The live ledger, read without a copy by the greedy adversary:
-        # the calibration block (read-only) and the regret coordinate.
-        self.ledger = self._cal_view.toreadonly()
-        self.cum_reg = 0.0
         self._pending = None
         self._diameter = dual_set_diameter(cfg.m)
-        # Unused uniforms of the current block, the next one last.
-        self._uniforms = []
 
     @property
     def theta(self) -> HalfspaceParam:
         return HalfspaceParam(np.array(self._a), self._b)
-
-    @property
-    def cum_payoff(self) -> PayoffVector:
-        return PayoffVector(self._cum_cal.copy(), self.cum_reg)
 
     def predict(self, q: float, quote_scores=None):
         """Return (p, w): the sampled grid forecast and the distribution.
@@ -191,10 +168,7 @@ class RecalibratorState:
         if len(support) == 1:
             i = support[0][0]
         else:
-            uniforms = self._uniforms
-            if not uniforms:
-                uniforms = self._uniforms = self.rng.random(UNIFORM_BLOCK)[::-1].tolist()
-            i = support[0][0] if uniforms.pop() < support[0][1] else support[1][0]
+            i = support[0][0] if self._uniform() < support[0][1] else support[1][0]
         self._pending = (q, w, quote_scores)
         return self.cfg.grid[i], w
 

@@ -76,7 +76,3 @@ def score(rule: ScoringRule, p: float, y: int) -> float:
 def regret_term(rule: ScoringRule, p: float, q: float, y: int) -> float:
     """Score difference score(p, y) - score(q, y).  May be negative."""
     return score(rule, p, y) - score(rule, q, y)
-
-
-def lipschitz_constant(rule: ScoringRule) -> float:
-    return rule.lipschitz

@@ -11,17 +11,21 @@ mw_choose's game value must equal the scan's within 1e-12.
 approach_scan, the closure-based halfspace oracle, and
 ScalarRecalibratorState, the unfused online state built on it, are what
 the recalibrator's fused round replaced; they too must agree bit for bit.
-ogd_step, f_value and extended_score are the textbook forms of the
-recalibrator's update, its halfspace response and the rule's extension
-to label distributions; only tests use them.  adversary_label_scan is
-the greedy adversary as it was before the harness kept a running l1 of
-the ledger: it copies the ledger and sums it once per label.
-mw_choose_dense is mw_choose as it was before it kept its play as a
-support: it fills the dense m+1 distribution, whose nonzero entries the
-support must equal bit for bit.  _trace_csv_text, _trace_json_rows and
-_json_text are the trace formatters that built a whole trace file as one
-string (the JSON one through the pure-Python indented encoder); the
-chunked trace writer must reproduce their bytes.
+ogd_step (with project_onto_K and ogd_learning_rate), f_value and
+extended_score are the textbook forms of the recalibrator's update, its
+halfspace response and the rule's extension to label distributions;
+only tests use them.  adversary_label_scan is the greedy adversary as it
+was before the harness kept a running l1 of the ledger: it copies the
+ledger and sums it once per label.  adversary_label_payoff calls the
+live-ledger harness.adversary_label on a PayoffVector, with the scan's
+signature and the ledger checks.  mw_choose_dense is mw_choose as it
+was before it kept its play as a support: it fills the dense m+1
+distribution, whose nonzero entries the support must equal bit for bit.
+mw_choose_vector and mw_update_vector are adapters that play mw_choose
+and mw_update on dense m+1 distributions.  _trace_csv_text,
+_trace_json_rows and _json_text are the trace formatters that built a
+whole trace file as one string (the JSON one through the pure-Python
+indented encoder); the chunked trace writer must reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -44,17 +48,16 @@ from recal.geometry import (
     dist_to_target,
     nearest_grid_index,
     point_mass,
-    project_onto_K,
 )
 from recal.cli import TRACE_HEADER
-from recal.mw_recalibrator import MWState, _shares
+from recal.harness import adversary_label
+from recal.mw_recalibrator import MWState, _shares, _support, mw_choose, mw_update
 from recal.recalibrator import (
     DEGENERATE_DELTA,
     GRAD_NORM_BOUND,
     ProtocolError,
     RecalibratorState,
     dual_set_diameter,
-    ogd_learning_rate,
 )
 from recal.scoring import ScoringRule, score, score_pair
 
@@ -84,6 +87,18 @@ def f_value(cfg: GameConfig, theta: HalfspaceParam, q: float, i: int, y: int) ->
     score_y = cfg.score1 if y else cfg.score0
     sq = score(cfg.rule, q, y)
     return theta.a[i] * (cfg.grid[i] - y) + (theta.b / cfg.lam) * (score_y[i] - sq)
+
+
+def project_onto_K(theta_raw: np.ndarray) -> HalfspaceParam:
+    """Euclidean projection onto K: clamp a to [-1, 1] and b to [0, 1]."""
+    raw = np.asarray(theta_raw, dtype=float)
+    a = np.clip(raw[:-1], -1.0, 1.0)
+    b = float(min(1.0, max(0.0, raw[-1])))
+    return HalfspaceParam(a, b)
+
+
+def ogd_learning_rate(m: int, t: int) -> float:
+    return dual_set_diameter(m) / (GRAD_NORM_BOUND * math.sqrt(t))
 
 
 def ogd_step(state: RecalibratorState, observed_payoff: PayoffVector) -> HalfspaceParam:
@@ -468,6 +483,38 @@ def adversary_label_scan(w: ForecastDistribution, theta, q: float,
             best_d = d
             best_y = y
     return best_y
+
+
+def adversary_label_payoff(w: ForecastDistribution, theta, q: float,
+                          cum_payoff: PayoffVector, t: int, cfg: GameConfig) -> int:
+    """harness.adversary_label on a copied ledger, with adversary_label_scan's
+    signature: the label, with the ledger's l1 norm computed here.
+
+    w is any play with a support of (index, weight) pairs; t is the
+    number of completed rounds; theta is unused.
+    """
+    if len(cum_payoff.cal) != cfg.m + 1:
+        raise ValueError(f"ledger must have m+1 = {cfg.m + 1} entries, "
+                         f"got {len(cum_payoff.cal)}")
+    if t < 0:
+        raise ValueError(f"completed rounds must be nonnegative, got {t}")
+    return adversary_label(w.support, score_pair(cfg.rule, q), cum_payoff.cal,
+                           cum_payoff.reg, cum_payoff.cal_l1(), t, cfg)[0]
+
+
+def mw_choose_vector(state: MWState, q: float) -> np.ndarray:
+    """mw_choose's play as a dense m+1 distribution."""
+    x = np.zeros(state.cfg.m + 1)
+    for k, w in mw_choose(state, q):
+        x[k] = w
+    return x
+
+
+def mw_update_vector(state: MWState, x, q: float, y: int) -> MWState:
+    """mw_update for a dense m+1 distribution x, stepped on its nonzero
+    entries."""
+    idx, w = _support(state.cfg, x)
+    return mw_update(state, zip(idx, w), score(state.cfg.rule, q, y), y)
 
 
 def mw_choose_dense(state: MWState, q: float) -> np.ndarray:

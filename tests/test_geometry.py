@@ -17,12 +17,11 @@ from recal.geometry import (
     nearest_grid_index,
     payoff_vector,
     point_mass,
-    project_onto_K,
     unchecked_game_config,
 )
 from recal.scoring import brier, log_clipped, score
 
-from .reference import round_half_up_index
+from .reference import project_onto_K, round_half_up_index
 
 
 # ---------------------------------------------------------------------------

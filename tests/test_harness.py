@@ -1,7 +1,12 @@
 """Experiment harness: configs, sources, adversary, runs, slopes, sweeps."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +25,6 @@ from recal.geometry import (
 from recal.harness import (
     ConfigError,
     ExperimentConfig,
-    adversary_label,
     checkpoint_schedule,
     fit_loglog_slope,
     make_label_stream,
@@ -33,7 +37,7 @@ from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
 from recal.recalibrator import RecalibratorState, dual_set_diameter
 from recal.scoring import brier, score
 
-from .reference import adversary_label_scan
+from .reference import adversary_label_payoff, adversary_label_scan
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def test_noisy_truth_oracle():
 
 @pytest.mark.parametrize(
     "spec", ["clairvoyant:0.6", "clairvoyant:-0.1", "constant:2", "noisy_truth:-1",
-             "truth:0.5", "oracle_of_delphi"],
+             "truth:0.5", "oracle_of_delphi", "noisy_truth:nan", "noisy_truth:inf"],
 )
 def test_oracle_rejects(spec):
     with pytest.raises(ConfigError):
@@ -162,7 +166,7 @@ def test_oracle_rejects(spec):
 def test_adversary_frozen_example():
     cfg = game_config(4, brier())
     zero = PayoffVector(np.zeros(5), 0.0)
-    assert adversary_label(point_mass(0), None, 0.0, zero, 0, cfg) == 1
+    assert adversary_label_payoff(point_mass(0), None, 0.0, zero, 0, cfg) == 1
 
 
 def test_adversary_tie_breaks_to_one():
@@ -170,7 +174,7 @@ def test_adversary_tie_breaks_to_one():
     # produce the same distance
     cfg = game_config(4, brier())
     zero = PayoffVector(np.zeros(5), 0.0)
-    assert adversary_label(point_mass(2), None, 0.5, zero, 0, cfg) == 1
+    assert adversary_label_payoff(point_mass(2), None, 0.5, zero, 0, cfg) == 1
 
 
 def _plays(rng, m):
@@ -194,7 +198,7 @@ def test_adversary_is_argmax():
             q = float(rng.random())
             cum = PayoffVector(rng.normal(scale=0.2, size=7), float(rng.normal(scale=0.1)))
             t = int(rng.integers(0, 50))
-            y = adversary_label(w, None, q, cum, t, cfg)
+            y = adversary_label_payoff(w, None, q, cum, t, cfg)
             x = np.zeros(7)
             for i, wi in w.support:
                 x[i] = wi
@@ -233,7 +237,7 @@ def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
     # copy-and-sum scan's wherever the scan's two distances differ by
     # more than 1e-12 (closer ties may break either way).  q is the
     # constant quote of the run being played.
-    fast = harness._greedy_label
+    fast = harness.adversary_label
     seen = {"rounds": 0, "flips": 0}
 
     def checked(support, quote_scores, cal, reg, l1, t, cfg):
@@ -249,7 +253,7 @@ def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
             assert abs(d1 - d0) <= 1e-12, (t, d0, d1)
         return y, seen["l1"]
 
-    monkeypatch.setattr(harness, "_greedy_label", checked)
+    monkeypatch.setattr(harness, "adversary_label", checked)
     rules = ["brier"] + (["log:0.1"] if m >= 16 else [])
     # mw at m = 1024 needs T >= ln(2^1025 + 1), about 711
     T = {256: 256, 1024: 720}.get(m, 1024) if forecaster == "mw" else 1024
@@ -267,9 +271,9 @@ def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
 def test_adversary_rejects_bad_ledger_and_round():
     cfg = game_config(4, brier())
     with pytest.raises(ValueError, match="m\\+1"):
-        adversary_label(point_mass(0), None, 0.5, PayoffVector(np.zeros(4), 0.0), 0, cfg)
+        adversary_label_payoff(point_mass(0), None, 0.5, PayoffVector(np.zeros(4), 0.0), 0, cfg)
     with pytest.raises(ValueError, match="nonnegative"):
-        adversary_label(point_mass(0), None, 0.5, PayoffVector(np.zeros(5), 0.0), -1, cfg)
+        adversary_label_payoff(point_mass(0), None, 0.5, PayoffVector(np.zeros(5), 0.0), -1, cfg)
 
 
 @pytest.mark.parametrize("forecaster", ["approach", "passthrough", "mw"])
@@ -288,6 +292,39 @@ def test_adversarial_run_snapshots_ledger_only_at_checkpoints(monkeypatch, forec
     trace = run_experiment(_cfg(forecaster=forecaster, labels="adversarial_greedy",
                                 oracle="constant:0.5", T=300, m=8))
     assert len(reads) == len(trace.checkpoints) + 1 == len(checkpoint_schedule(300)) + 1
+
+
+_TRACED_RUNS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer
+from recal import harness
+tracer = Tracer()
+tracer.install()
+T = int(sys.argv[2])
+harness.run_experiment(harness.ExperimentConfig(
+    T=T, m=8, labels="adversarial_greedy", oracle="constant:0.5", seed=3))
+harness.run_experiment(harness.ExperimentConfig(
+    T=T, m=8, forecaster="mw", labels="periodic:0110", seed=3))
+print(json.dumps(tracer.calls))
+"""
+
+
+def test_bench_tracer_sees_adversary_and_mw_calls():
+    # bench/layers.py wraps functions by their public names from outside
+    # the package, so the names the round loop calls must be those: one
+    # adversary call per adversarial round, one MW choose and update per
+    # mw round.  Run apart because the wrappers stay installed.
+    root = Path(harness.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    T = 64
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUNS, str(root / "bench"), str(T)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    for span in ("harness.adversary", "mw_recalibrator.choose", "mw_recalibrator.update"):
+        assert calls.get(span, 0) == T, (span, calls)
 
 
 def test_adversarial_run_at_large_grid():
@@ -426,7 +463,8 @@ def test_passthrough_truth_on_grid_has_zero_regret():
     [dict(T=0), dict(forecaster="magic"), dict(seed=-1), dict(m=0),
      dict(m=2), dict(labels="adversarial_greedy", oracle="clairvoyant:0.2"),
      dict(labels="adversarial_greedy", oracle="truth"),
-     dict(forecaster="mw", T=6, m=8)],
+     dict(forecaster="mw", T=6, m=8), dict(T=10.5), dict(T=True), dict(m=8.0),
+     dict(seed=1.5), dict(seed=True), dict(oracle="noisy_truth:nan")],
 )
 def test_run_rejects_bad_configs(kw):
     with pytest.raises(ConfigError):

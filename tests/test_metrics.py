@@ -128,25 +128,3 @@ def test_rate_matches_vector_expression_on_random_traces():
         rhs = max(0.0, float(np.abs(c).sum()) - 0.5 / m, R - delta / 2.0)
         assert stats.recalibration_rate(delta) == pytest.approx(rhs, abs=1e-12)
         assert stats.calibration_l1() == pytest.approx(float(np.abs(c).sum()), abs=1e-12)
-
-
-def test_merge_equals_concatenated_recording():
-    rng = np.random.default_rng(18)
-    rounds = [
-        (int(rng.integers(0, 6)) / 5, float(rng.random()), int(rng.integers(0, 2)))
-        for _ in range(100)
-    ]
-    whole = _record_rounds(BucketStats(5), rounds)
-    left = _record_rounds(BucketStats(5), rounds[:37])
-    right = _record_rounds(BucketStats(5), rounds[37:])
-    merged = left.merge(right)
-    assert merged.counts == whole.counts
-    assert merged.label_sums == whole.label_sums
-    assert merged.T == whole.T
-    assert merged.average_regret() == pytest.approx(whole.average_regret(), abs=1e-12)
-    assert merged.calibration_rate() == pytest.approx(whole.calibration_rate(), abs=1e-12)
-
-
-def test_merge_rejects_mixed_resolutions():
-    with pytest.raises(ValueError):
-        BucketStats(4).merge(BucketStats(5))

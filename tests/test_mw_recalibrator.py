@@ -13,8 +13,6 @@ from recal.geometry import game_config, nearest_grid_index, unchecked_game_confi
 from recal.harness import ExperimentConfig, run_experiment
 from recal.mw_recalibrator import (
     MWState,
-    _choose_support,
-    _update_support,
     dp_denominator,
     dp_weighted_loss,
     lifted_dimension,
@@ -31,6 +29,8 @@ from .reference import (
     lifted_max_reference,
     mw_choose_dense,
     mw_choose_scan,
+    mw_choose_vector,
+    mw_update_vector,
     scan_state,
     vertex_losses_scan,
 )
@@ -93,7 +93,7 @@ def test_zero_loss_update_is_identity():
     state = mw_init(cfg, 100)
     x = _one_hot(4, 3)
     assert dp_weighted_loss(state, x, 1.0, 1) == 0.0
-    mw_update(state, x, 1.0, 1)
+    mw_update_vector(state, x, 1.0, 1)
     assert state.u.tolist() == [0.0] * 4
     assert state.r == 0.0
     assert state.t == 1
@@ -112,7 +112,7 @@ def test_dp_matches_dense_enumeration(m):
         x = rng.dirichlet(np.ones(m + 1))
         q = float(rng.random())
         y = int(rng.integers(0, 2))
-        mw_update(state, x, q, y)
+        mw_update_vector(state, x, q, y)
         dense.update(x, q, y)
         if step % 10 == 9:
             bf = dense.denominator()
@@ -130,11 +130,11 @@ def test_updates_commute():
     u1 = (np.array([0.5, 0.5, 0.0, 0.0, 0.0]), 0.3, 1)
     u2 = (np.array([0.0, 0.0, 0.2, 0.8, 0.0]), 0.7, 0)
     a = mw_init(cfg, 100)
-    mw_update(a, *u1)
-    mw_update(a, *u2)
+    mw_update_vector(a, *u1)
+    mw_update_vector(a, *u2)
     b = mw_init(cfg, 100)
-    mw_update(b, *u2)
-    mw_update(b, *u1)
+    mw_update_vector(b, *u2)
+    mw_update_vector(b, *u1)
     assert a.u.tolist() == pytest.approx(b.u.tolist(), rel=1e-12)
     assert a.r == pytest.approx(b.r, rel=1e-12)
     assert a.rho.tolist() == pytest.approx(b.rho.tolist(), rel=1e-12)
@@ -154,8 +154,8 @@ def test_dp_matches_dense_enumeration_at_large_eta(m):
     for _ in range(60):
         q = float(rng.random())
         y = int(rng.integers(0, 2))
-        x = mw_choose(state, q)
-        mw_update(state, x, q, y)
+        x = mw_choose_vector(state, q)
+        mw_update_vector(state, x, q, y)
         dense.update(x, q, y)
     assert dp_denominator(state) == pytest.approx(dense.denominator(), rel=1e-9)
     for _ in range(10):
@@ -180,7 +180,7 @@ def test_log_mode_agrees_with_linear_mode():
     state = mw_init(cfg, 200)
     rng = np.random.default_rng(31)
     for _ in range(60):
-        mw_update(state, rng.dirichlet(np.ones(5)), float(rng.random()),
+        mw_update_vector(state, rng.dirichlet(np.ones(5)), float(rng.random()),
                   int(rng.integers(0, 2)))
     lin = scan_state(state, log_mode=False)
     assert not lin.log_mode
@@ -193,7 +193,7 @@ def test_log_mode_agrees_with_linear_mode():
         for y in (0, 1):
             assert dp_weighted_loss(state, xp, qc, y) == pytest.approx(
                 float(xp @ h[y]), rel=0.0, abs=1e-12)
-        x = mw_choose(state, qc)
+        x = mw_choose_vector(state, qc)
         xs = mw_choose_scan(lin, qc)
         assert max(x @ h[0], x @ h[1]) == pytest.approx(max(xs @ h[0], xs @ h[1]),
                                                         rel=0.0, abs=1e-12)
@@ -206,7 +206,7 @@ def test_overflowing_weights_stay_exact():
     state = MWState(cfg=cfg, eta=50.0, T=100)
     x = _one_hot(3, 0)
     for _ in range(30):
-        mw_update(state, x, 1.0, 1)
+        mw_update_vector(state, x, 1.0, 1)
     assert state.u.tolist() == [-1500.0, 0.0, 0.0]
     assert state.r == 1500.0
     assert state.rho.tolist() == [-1.0, 0.0, 0.0]
@@ -242,8 +242,8 @@ def test_large_eta_runs_track_cumulative_losses():
             for _ in range(40):
                 q = float(rng.random())
                 y = int(rng.integers(0, 2))
-                x = mw_choose(state, q)
-                mw_update(state, x, q, y)
+                x = mw_choose_vector(state, q)
+                mw_update_vector(state, x, q, y)
                 cal, reg = dense_loss_parts(cfg, x, q, y)
                 cum_cal += cal
                 cum_reg += reg
@@ -264,7 +264,7 @@ def test_large_eta_runs_track_cumulative_losses():
 def test_choose_fresh_state_plays_nearest_grid_point():
     cfg = game_config(3, brier())
     state = mw_init(cfg, 100)
-    x = mw_choose(state, 2.0 / 3.0)
+    x = mw_choose_vector(state, 2.0 / 3.0)
     assert x[2] == 1.0
     assert x.sum() == 1.0
     for y in (0, 1):
@@ -277,7 +277,7 @@ def test_choose_regret_only_plays_nearest_grid_point():
     cfg = unchecked_game_config(2, brier())
     state = MWState(cfg=cfg, eta=0.1, T=100, r=460.0)
     for q, j in ((0.5, 1), (0.0, 0), (1.0, 2)):
-        x = mw_choose(state, q)
+        x = mw_choose_vector(state, q)
         assert x[j] == 1.0
 
 
@@ -289,7 +289,7 @@ def test_choose_breaks_ties_to_nearest_grid_point(m):
     state = MWState(cfg=cfg, eta=0.1, T=100, r=-800.0)
     rng = np.random.default_rng(m)
     for q in [i / m for i in range(m + 1)] + rng.random(8).tolist():
-        x = mw_choose(state, q)
+        x = mw_choose_vector(state, q)
         assert x[nearest_grid_index(q, m)] == 1.0, (q, x)
 
 
@@ -300,7 +300,7 @@ def test_choose_matches_lp_minimax(m):
     rng = np.random.default_rng(40 + m)
     state = mw_init(cfg, 150)
     for _ in range(20):
-        mw_update(
+        mw_update_vector(
             state,
             rng.dirichlet(np.ones(m + 1)),
             float(rng.random()),
@@ -321,7 +321,7 @@ def test_choose_matches_lp_minimax(m):
             method="highs",
         )
         assert res.status == 0
-        x = mw_choose(state, q)
+        x = mw_choose_vector(state, q)
         achieved = max(
             dp_weighted_loss(state, x, q, 0), dp_weighted_loss(state, x, q, 1)
         )
@@ -342,8 +342,8 @@ def test_choose_matches_lp_minimax_at_large_grid(rule):
         if step % 4 == 0:
             x = rng.dirichlet(np.ones(n))
         else:
-            x = mw_choose(state, q)
-        mw_update(state, x, q, int(rng.integers(0, 2)))
+            x = mw_choose_vector(state, q)
+        mw_update_vector(state, x, q, int(rng.integers(0, 2)))
     legacy = scan_state(state)
     ones = np.ones(n)
     for q in (0.0, 0.5, float(rng.random())):
@@ -359,7 +359,7 @@ def test_choose_matches_lp_minimax_at_large_grid(rule):
         )
         assert res.status == 0
         tracemalloc.start()
-        x = mw_choose(state, q)
+        x = mw_choose_vector(state, q)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= 64 * 8 * n
@@ -381,7 +381,7 @@ def _assert_same_value(state: MWState, q: float) -> None:
     # optimal the two may pick different ones.  Choosing leaves the
     # state as it was.
     before = _clone(state)
-    x = mw_choose(state, q)
+    x = mw_choose_vector(state, q)
     legacy = scan_state(state)
     x_scan = mw_choose_scan(legacy, q)
     h = [np.array(vertex_losses_scan(legacy, q, y)) for y in (0, 1)]
@@ -394,8 +394,8 @@ def _assert_same_value(state: MWState, q: float) -> None:
 
 def _play(state: MWState, rounds: int, rng) -> None:
     for _ in range(rounds):
-        x = mw_choose(state, float(rng.random()))
-        mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
+        x = mw_choose_vector(state, float(rng.random()))
+        mw_update_vector(state, x, float(rng.random()), int(rng.integers(0, 2)))
 
 
 def _differential_states(cfg, rng):
@@ -408,7 +408,7 @@ def _differential_states(cfg, rng):
         yield state
     state = mw_init(cfg, 200)
     for _ in range(10):
-        mw_update(state, rng.dirichlet(np.ones(n)), float(rng.random()),
+        mw_update_vector(state, rng.dirichlet(np.ones(n)), float(rng.random()),
                   int(rng.integers(0, 2)))
     yield state
     # every factor exp(u_k) near 1e200, so their product overflows
@@ -418,7 +418,7 @@ def _differential_states(cfg, rng):
     _play(state, 10, rng)
     yield state
     while max(abs(state.r), np.abs(state.u).max()) < 700.0:
-        mw_update(state, _one_hot(n, 0), float(rng.random()), 1)
+        mw_update_vector(state, _one_hot(n, 0), float(rng.random()), 1)
     yield state
     _play(state, 3, rng)
     yield state
@@ -458,13 +458,13 @@ def test_choose_support_is_the_dense_plays_nonzero_entries():
     for state, q in _differential_draws():
         x = mw_choose_dense(state, q)
         idx = x.nonzero()[0]
-        support = _choose_support(state, q)
+        support = mw_choose(state, q)
         assert _bits(support) == _bits(zip(idx.tolist(), x[idx].tolist())), (q, x)
-        assert np.array_equal(mw_choose(state, q), x)
+        assert np.array_equal(mw_choose_vector(state, q), x)
         y = draws % 2
         dense, step = _clone(state), _clone(state)
-        mw_update(dense, x, q, y)
-        _update_support(step, support, score_pair(state.cfg.rule, q)[y], y)
+        mw_update_vector(dense, x, q, y)
+        mw_update(step, support, score_pair(state.cfg.rule, q)[y], y)
         for field in ("u", "rho", "log_a"):
             assert getattr(step, field).tobytes() == getattr(dense, field).tobytes()
         assert step.r.hex() == dense.r.hex() and step.t == dense.t
@@ -483,7 +483,7 @@ def test_choose_matches_scalar_scan_at_large_m():
         x = np.zeros(m + 1)
         i = int(rng.integers(0, m))
         x[i], x[i + 1] = 0.5, 0.5
-        mw_update(state, x, float(rng.random()), int(rng.integers(0, 2)))
+        mw_update_vector(state, x, float(rng.random()), int(rng.integers(0, 2)))
     for q in (0.0, 1.0, 100 / m, float(rng.random())):
         _assert_same_value(state, q)
 
@@ -504,10 +504,10 @@ def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
     def checked(state, q):
         calls.append(q)
         _assert_same_value(state, q)
-        return _choose_support(state, q)
+        return mw_choose(state, q)
 
     # the binding _MWForecaster.predict looks up at call time
-    monkeypatch.setattr(harness, "_choose_support", checked)
+    monkeypatch.setattr(harness, "mw_choose", checked)
     slow = run_experiment(cfg)
     assert len(calls) == cfg.T
     assert fast.p == slow.p
@@ -526,7 +526,7 @@ def test_update_rejects_wrong_length(size):
     state = mw_init(cfg, 100)
     x = np.full(size, 1.0 / size)
     with pytest.raises(ValueError, match="m\\+1 = 4"):
-        mw_update(state, x, 0.3, 1)
+        mw_update_vector(state, x, 0.3, 1)
     with pytest.raises(ValueError, match="m\\+1 = 4"):
         dp_weighted_loss(state, x, 0.3, 1)
     assert state.t == 0

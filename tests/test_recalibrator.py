@@ -12,7 +12,9 @@ import pytest
 import recal
 
 from recal.geometry import (
+    UNIFORM_BLOCK,
     HalfspaceParam,
+    PayoffLedger,
     PayoffVector,
     add_payoff,
     game_config,
@@ -23,7 +25,6 @@ from recal.geometry import (
 from recal.metrics import BucketStats
 from recal.recalibrator import (
     DEGENERATE_DELTA,
-    UNIFORM_BLOCK,
     ProtocolError,
     RecalibratorState,
     _approach,
@@ -31,12 +32,17 @@ from recal.recalibrator import (
     approach_with_cost,
     dual_set_diameter,
     observe,
-    ogd_learning_rate,
     predict,
 )
 from recal.scoring import brier, log_clipped, score_pair
 
-from .reference import ScalarRecalibratorState, approach_scan, f_value, ogd_step
+from .reference import (
+    ScalarRecalibratorState,
+    approach_scan,
+    f_value,
+    ogd_learning_rate,
+    ogd_step,
+)
 
 
 def _random_theta(rng, m: int) -> HalfspaceParam:
@@ -510,8 +516,10 @@ def test_fused_observe_matches_add_payoff_bitwise():
 
 
 def test_block_uniforms_equal_scalar_draws():
-    # two successive blocks, so the boundary between them is covered too
-    blocked = np.random.default_rng(99)
-    draws = blocked.random(UNIFORM_BLOCK).tolist() + blocked.random(UNIFORM_BLOCK).tolist()
+    # three blocks' worth of the ledger's draws, so two block boundaries
+    # and the first draw of a fresh block are covered
+    n = 2 * UNIFORM_BLOCK + 1
+    blocked = PayoffLedger(game_config(8, brier()), np.random.default_rng(99))
+    draws = [blocked._uniform() for _ in range(n)]
     scalar = np.random.default_rng(99)
-    assert draws == [scalar.random() for _ in range(2 * UNIFORM_BLOCK)]
+    assert draws == [scalar.random() for _ in range(n)]

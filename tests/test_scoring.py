@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from recal.scoring import (
     ScoringRule,
     brier,
-    lipschitz_constant,
     log_clipped,
     parse_rule,
     regret_term,
@@ -51,9 +50,9 @@ def test_regret_term_values():
 
 
 def test_lipschitz_constants():
-    assert lipschitz_constant(brier()) == 2.0
-    assert lipschitz_constant(log_clipped(0.1)) == 10.0
-    assert lipschitz_constant(log_clipped(0.01)) == 100.0
+    assert brier().lipschitz == 2.0
+    assert log_clipped(0.1).lipschitz == 10.0
+    assert log_clipped(0.01).lipschitz == 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_properness_log_clipped(p, q):
 def test_lipschitz_bound_holds(p1, p2, y):
     for rule in (brier(), log_clipped(0.05)):
         gap = abs(score(rule, p1, y) - score(rule, p2, y))
-        assert gap <= lipschitz_constant(rule) * abs(p1 - p2) + 1e-12
+        assert gap <= rule.lipschitz * abs(p1 - p2) + 1e-12
 
 
 @settings(max_examples=100, derandomize=True)
