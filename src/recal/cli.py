@@ -15,31 +15,20 @@ import os
 import string
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, astuple, fields
 from typing import Callable, NamedTuple
 
 from . import checks
-from .harness import ConfigError, ExperimentConfig, run_experiment, sweep
+from .harness import FORECASTERS, ConfigError, ExperimentConfig, run_experiment, sweep
 from .metrics import default_regret_slack
 
-RUN_KEYS = ("forecaster", "rule", "m", "exponent", "T", "oracle", "labels",
-            "seed", "out", "format")
-SWEEP_KEYS = ("forecaster", "rule", "m", "exponent", "T_grid", "seeds",
-              "oracle", "labels", "seed", "out", "format")
-DEFAULTS = {
-    "forecaster": "approach",
-    "rule": "brier",
-    "m": None,
-    "exponent": None,
-    "T": None,
-    "T_grid": None,
-    "seeds": 1,
-    "oracle": "clairvoyant:0.2",
-    "labels": "iid_bernoulli:0.5",
-    "seed": 0,
-    "out": ".",
-    "format": "csv",
-}
+# The config keys and their defaults are ExperimentConfig's fields; a
+# sweep takes T_grid and seeds in place of T.
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+RUN_KEYS = CONFIG_KEYS + ("out", "format")
+SWEEP_KEYS = tuple(k for k in RUN_KEYS if k != "T") + ("T_grid", "seeds")
+DEFAULTS = {f.name: None if f.default is MISSING else f.default for f in fields(ExperimentConfig)}
+DEFAULTS.update(T_grid=None, seeds=1, out=".", format="csv")
 TRACE_HEADER = ("t", "q", "p", "y", "calib_l1", "avg_regret", "recal_rate",
                 "dist_to_target")
 SWEEP_HEADER = ("T", "m", "mean_calib", "mean_regret", "mean_recal_rate",
@@ -71,26 +60,6 @@ def _merged_config(args, keys) -> dict:
     return merged
 
 
-def _as_int(merged: dict, key: str, required: bool = False):
-    v = merged.get(key)
-    if v is None:
-        if required:
-            raise ConfigError(f"{key} is required")
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _as_float(merged: dict, key: str):
-    v = merged.get(key)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    return float(v)
-
-
 def _as_str(merged: dict, key: str) -> str:
     v = merged.get(key)
     if not isinstance(v, str):
@@ -105,24 +74,15 @@ def _as_format(merged: dict) -> str:
     return v
 
 
-def _as_T_grid(merged: dict) -> list:
-    v = merged.get("T_grid")
-    if v is None:
-        raise ConfigError("T_grid is required")
+def _as_T_grid(merged: dict):
+    """T_grid as given, a comma list split into integers; sweep checks it."""
+    v = merged["T_grid"]
     if isinstance(v, str):
-        parts = [s.strip() for s in v.split(",") if s.strip()]
         try:
-            v = [int(s) for s in parts]
+            v = [int(s) for s in v.split(",") if s.strip()]
         except ValueError:
             raise ConfigError(f"T_grid must be a comma list of integers, got {v!r}") from None
-    if not isinstance(v, (list, tuple)) or not v:
-        raise ConfigError("T_grid must be a nonempty list of integers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"T_grid entries must be integers, got {item!r}")
-        out.append(item)
-    return out
+    return v
 
 
 def _atomic_write(path: str, blocks) -> None:
@@ -153,16 +113,7 @@ def _json_text(obj) -> str:
 
 
 def _experiment_config(merged: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        T=_as_int(merged, "T", required=True),
-        rule=_as_str(merged, "rule"),
-        forecaster=_as_str(merged, "forecaster"),
-        m=_as_int(merged, "m"),
-        exponent=_as_float(merged, "exponent"),
-        oracle=_as_str(merged, "oracle"),
-        labels=_as_str(merged, "labels"),
-        seed=_as_int(merged, "seed", required=True),
-    )
+    return ExperimentConfig(**{k: merged.get(k) for k in CONFIG_KEYS})
 
 
 def _json_items(values) -> list:
@@ -284,14 +235,7 @@ def cmd_run(args) -> int:
             "reg_threshold": cfg.reg_threshold,
             "delta": default_regret_slack(cfg.rule, trace.m),
         },
-        "final": {
-            "t": final.t,
-            "calib_l1": final.calib_l1,
-            "calibration_rate": final.calibration_rate,
-            "average_regret": final.average_regret,
-            "recalibration_rate": final.recalibration_rate,
-            "dist_to_target": final.dist_to_target,
-        },
+        "final": asdict(final),
         "wall_time_s": trace.wall_time,
     }
     summary_path = os.path.join(out_dir, "summary.json")
@@ -306,18 +250,15 @@ def cmd_sweep(args) -> int:
     fmt = _as_format(merged)
     out_dir = _as_str(merged, "out")
     T_grid = _as_T_grid(merged)
-    seeds = _as_int(merged, "seeds", required=True)
-    base = _experiment_config({**merged, "T": T_grid[0]})
-    result = sweep(base, T_grid, seeds)
+    # The library also takes a list of seeds; the CLI takes a count.
+    if isinstance(merged["seeds"], list):
+        raise ConfigError(f"seeds must be a count, got {merged['seeds']!r}")
+    result = sweep(_experiment_config(merged), T_grid, merged["seeds"])
 
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, f"sweep.{fmt}")
     if fmt == "csv":
-        text = "".join(",".join(map(repr, (
-            row.T, row.m, row.calibration_rate, row.average_regret,
-            row.recalibration_rate, row.calibration_rate_stderr,
-            row.average_regret_stderr, row.recalibration_rate_stderr))) + "\n"
-            for row in result.rows)
+        text = "".join(",".join(map(repr, astuple(row))) + "\n" for row in result.rows)
         _atomic_write(rows_path, [",".join(SWEEP_HEADER) + "\n" + text])
     else:
         _atomic_write(rows_path, [_json_text([asdict(r) for r in result.rows])])
@@ -362,7 +303,7 @@ def cmd_verify(args) -> int:
 
 def _add_common_flags(p) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--forecaster", choices=("approach", "mw", "passthrough"))
+    p.add_argument("--forecaster", choices=FORECASTERS)
     p.add_argument("--rule", help="scoring rule: brier or log:<gamma>")
     p.add_argument("--m", type=int, help="grid resolution (exclusive with --exponent)")
     p.add_argument("--exponent", type=float,
@@ -408,9 +349,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

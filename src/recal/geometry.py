@@ -126,9 +126,6 @@ class ForecastDistribution:
         object.__setattr__(self, "support", ((j, w_lo), (j + 1, w_hi)))
         return self
 
-    def mean(self, m: int) -> float:
-        return sum(w * i for i, w in self.support) / m
-
 
 @functools.cache
 def point_mass(i: int) -> ForecastDistribution:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -60,8 +63,9 @@ def resolved_m(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"m must be a positive integer, got {cfg.m!r}")
         return cfg.m
     x = cfg.exponent
-    if not (EXPONENT_LO - EXPONENT_TOL <= x <= EXPONENT_HI + EXPONENT_TOL):
-        raise ConfigError(f"exponent must lie in [1/3, 2/5], got {x}")
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and EXPONENT_LO - EXPONENT_TOL <= x <= EXPONENT_HI + EXPONENT_TOL):
+        raise ConfigError(f"exponent must be a number in [1/3, 2/5], got {x!r}")
     return math.ceil(cfg.T ** (1.0 - 2.0 * x))
 
 
@@ -289,27 +293,25 @@ class _MWForecaster(_PassthroughForecaster):
         mw_update(self.state, self._support, self._quote_scores[y], y)
 
 
-def run_experiment(cfg: ExperimentConfig) -> Trace:
-    t_start = time.perf_counter()
+def _checked(cfg: ExperimentConfig):
+    """Every check of cfg, and what a run of it needs: its GameConfig,
+    its label and quote sources, and the forecaster's seed sequence."""
     if not (_is_int(cfg.T) and cfg.T >= 1):
         raise ConfigError(f"T must be a positive integer, got {cfg.T!r}")
     if cfg.forecaster not in FORECASTERS:
         raise ConfigError(f"unknown forecaster {cfg.forecaster!r}")
     if not (_is_int(cfg.seed) and cfg.seed >= 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+    for key in ("rule", "oracle", "labels"):
+        if not isinstance(getattr(cfg, key), str):
+            raise ConfigError(f"{key} must be a string, got {getattr(cfg, key)!r}")
     try:
-        rule = parse_rule(cfg.rule)
+        gcfg = game_config(resolved_m(cfg), parse_rule(cfg.rule))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    m = resolved_m(cfg)
-    try:
-        gcfg = game_config(m, rule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.forecaster == "mw" and cfg.T < math.log(lifted_dimension(m)):
-        raise ConfigError(
-            f"mw needs T >= ln(2^(m+1)+1) = {math.log(lifted_dimension(m)):.3f}, got T={cfg.T}")
-
+    if cfg.forecaster == "mw" and cfg.T < math.log(lifted_dimension(gcfg.m)):
+        raise ConfigError(f"mw needs T >= ln(2^(m+1)+1) = "
+                          f"{math.log(lifted_dimension(gcfg.m)):.3f}, got T={cfg.T}")
     ss_labels, ss_oracle, ss_forecaster = np.random.SeedSequence(cfg.seed).spawn(3)
     labels_src = make_label_stream(cfg.labels, ss_labels)
     oracle_src = make_oracle(cfg.oracle, ss_oracle)
@@ -317,7 +319,13 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         raise ConfigError(
             "adversarial_greedy labels are only defined against a constant oracle; "
             "other oracles would peek at labels chosen after their quotes")
+    return gcfg, labels_src, oracle_src, ss_forecaster
 
+
+def run_experiment(cfg: ExperimentConfig) -> Trace:
+    t_start = time.perf_counter()
+    gcfg, labels_src, oracle_src, ss_forecaster = _checked(cfg)
+    rule, m = gcfg.rule, gcfg.m
     T = cfg.T
     ys = labels_src.generate(T)
     qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
@@ -396,13 +404,15 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """A horizon's means and standard errors, in sweep.csv's column order."""
+
     T: int
     m: int
     calibration_rate: float
-    calibration_rate_stderr: float
     average_regret: float
-    average_regret_stderr: float
     recalibration_rate: float
+    calibration_rate_stderr: float
+    average_regret_stderr: float
     recalibration_rate_stderr: float
 
 
@@ -438,18 +448,34 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(limit, n_jobs))
 
 
+def _int_list(values, what: str) -> list:
+    """values as a nonempty list of nonnegative Python ints; a string,
+    a bool or a non-integer is refused, not coerced."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    out = []
+    for v in values:
+        if not (_is_int(v) and v >= 0):
+            raise ConfigError(f"{what} must hold nonnegative integers, got {v!r}")
+        out.append(operator.index(v))
+    if not out:
+        raise ConfigError(f"{what} must be nonempty")
+    return out
+
+
 def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
-    Ts = sorted({int(T) for T in T_grid})
-    if not Ts:
-        raise ConfigError("T_grid must be nonempty")
-    if isinstance(seeds, int):
+    """Run base at each horizon of T_grid with each seed: seeds is a
+    count (seed, seed+1, ...) or a list.  Every input is checked, once per
+    distinct horizon, before any run starts."""
+    Ts = sorted(set(_int_list(T_grid, "T_grid")))
+    for T in Ts:
+        _checked(replace(base, T=T))
+    if _is_int(seeds):
         if seeds < 1:
             raise ConfigError(f"need at least one seed, got {seeds}")
         seed_list = [base.seed + k for k in range(seeds)]
     else:
-        seed_list = [int(s) for s in seeds]
-        if not seed_list:
-            raise ConfigError("seed list must be nonempty")
+        seed_list = _int_list(seeds, "seeds")
 
     jobs = [replace(base, T=T, seed=s) for T in Ts for s in seed_list]
     workers = _worker_count(len(jobs))

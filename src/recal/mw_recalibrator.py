@@ -204,11 +204,3 @@ def mw_update(state: MWState, support, sq: float, y: int) -> MWState:
     state.t += 1
     return state
 
-
-def lifted_max_coordinate(cal_avg, reg_avg: float) -> float:
-    """Largest lifted coordinate of (cal_avg, reg_avg).
-
-    The sign rows realize every signed sum of the calibration block, so
-    their max is the l1 norm; the last row contributes reg_avg.
-    """
-    return max(float(np.abs(np.asarray(cal_avg)).sum()), reg_avg)

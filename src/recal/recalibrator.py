@@ -112,19 +112,15 @@ def _approach(cfg, a, b, q, is_zero, quote_scores=None):
 
 
 def approach_with_cost(cfg: GameConfig, theta: HalfspaceParam, q: float):
-    """approach() plus the number of scalar f evaluations it used."""
+    """The halfspace response to theta at q, a distribution on at most two
+    consecutive grid points whose payoff satisfies <payoff, theta> <=
+    1/m + b * reg_threshold for both labels, and its f evaluation count."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"forecast must lie in [0, 1], got {q}")
     if not (np.all(np.abs(theta.a) <= 1.0) and 0.0 <= theta.b <= 1.0):
         raise ValueError("theta must lie in K: |a_i| <= 1 and 0 <= b <= 1")
     is_zero = theta.b == 0.0 and not np.any(theta.a)
     return _approach(cfg, theta.a, theta.b, q, is_zero)
-
-
-def approach(cfg: GameConfig, theta: HalfspaceParam, q: float) -> ForecastDistribution:
-    """Distribution on at most two consecutive grid points whose payoff
-    satisfies <payoff, theta> <= 1/m + b * reg_threshold for both labels."""
-    return approach_with_cost(cfg, theta, q)[0]
 
 
 class RecalibratorState(PayoffLedger):

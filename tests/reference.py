@@ -26,6 +26,9 @@ and mw_update on dense m+1 distributions.  _trace_csv_text,
 _trace_json_rows and _json_text are the trace formatters that built a
 whole trace file as one string (the JSON one through the pure-Python
 indented encoder); the chunked trace writer must reproduce their bytes.
+approach (approach_with_cost without its count), lifted_max_coordinate
+(the MW baseline's lifted max as an l1 norm) and forecast_mean are
+small helpers that only tests call.
 """
 
 from __future__ import annotations
@@ -57,9 +60,29 @@ from recal.recalibrator import (
     GRAD_NORM_BOUND,
     ProtocolError,
     RecalibratorState,
+    approach_with_cost,
     dual_set_diameter,
 )
 from recal.scoring import ScoringRule, score, score_pair
+
+
+def forecast_mean(w: ForecastDistribution, m: int) -> float:
+    """Mean grid value of the distribution w on the grid of resolution m."""
+    return sum(wi * i for i, wi in w.support) / m
+
+
+def approach(cfg: GameConfig, theta: HalfspaceParam, q: float) -> ForecastDistribution:
+    """The halfspace response to theta at q, without its evaluation count."""
+    return approach_with_cost(cfg, theta, q)[0]
+
+
+def lifted_max_coordinate(cal_avg, reg_avg: float) -> float:
+    """Largest lifted coordinate of (cal_avg, reg_avg).
+
+    The sign rows realize every signed sum of the calibration block, so
+    their max is the l1 norm; the last row contributes reg_avg.
+    """
+    return max(float(np.abs(np.asarray(cal_avg)).sum()), reg_avg)
 
 
 def round_half_up_index(p: float, m: int) -> int:

@@ -17,9 +17,11 @@ import recal.cli as cli
 from recal import checks
 from recal.geometry import HalfspaceParam, game_config
 from recal.harness import ExperimentConfig, run_experiment, sweep
-from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
+from recal.mw_recalibrator import lifted_dimension
 from recal.recalibrator import approach_with_cost, dual_set_diameter
 from recal.scoring import brier
+
+from .reference import lifted_max_coordinate
 
 G = math.sqrt(2.0)
 

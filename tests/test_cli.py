@@ -1,5 +1,6 @@
 """CLI: output files, config precedence, exit codes, and self-verification."""
 
+import argparse
 import json
 import os
 import re
@@ -229,6 +230,14 @@ def test_run_type_checks_config_values(tmp_path):
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     cfg_file.write_text(json.dumps({"T": True, "m": 4}))
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    cfg_file.write_text(json.dumps({"T": 32, "exponent": "0.35"}))
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    cfg_file.write_text(json.dumps({"T": 32, "m": 4, "labels": 3}))
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    # the library takes a list of seeds, the CLI only a count
+    cfg_file.write_text(json.dumps({"T_grid": [32, 64], "m": 4, "seeds": [1, 2]}))
+    assert cli.main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +369,22 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
+def test_readme_run_flag_table_matches_the_parser():
+    # The CLI derives its defaults from ExperimentConfig; README's table
+    # under "recal run" is the one place they are written out by hand.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### recal run", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `--(\w+)` \| .* \| (.*) \|$", section, re.M)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {s[2:] for a in sub.choices["run"]._actions for s in a.option_strings
+               if s != "--help" and s.startswith("--")}
+    assert sorted(flag for flag, _ in rows) == sorted(options)
+    for flag, default in rows:
+        value = cli.DEFAULTS.get(flag)
+        if value is None:
+            assert not default.startswith("`"), (flag, default)
+        else:
+            assert default == f"`{value}`", (flag, default)

@@ -21,7 +21,7 @@ from recal.geometry import (
 )
 from recal.scoring import brier, log_clipped, score
 
-from .reference import project_onto_K, round_half_up_index
+from .reference import forecast_mean, project_onto_K, round_half_up_index
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +110,12 @@ def test_unchecked_game_config_allows_coarse_grid():
 def test_point_mass_support():
     w = point_mass(3)
     assert w.support == ((3, 1.0),)
-    assert w.mean(10) == pytest.approx(0.3)
+    assert forecast_mean(w, 10) == pytest.approx(0.3)
 
 
 def test_two_point_mean():
     w = ForecastDistribution(((2, 0.25), (3, 0.75)))
-    assert w.mean(10) == pytest.approx(0.275)
+    assert forecast_mean(w, 10) == pytest.approx(0.275)
 
 
 @pytest.mark.parametrize(

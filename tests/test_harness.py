@@ -33,11 +33,11 @@ from recal.harness import (
     run_experiment,
     sweep,
 )
-from recal.mw_recalibrator import lifted_dimension, lifted_max_coordinate
+from recal.mw_recalibrator import lifted_dimension
 from recal.recalibrator import RecalibratorState, dual_set_diameter
 from recal.scoring import brier, score
 
-from .reference import adversary_label_payoff, adversary_label_scan
+from .reference import adversary_label_payoff, adversary_label_scan, lifted_max_coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,9 @@ def test_passthrough_truth_on_grid_has_zero_regret():
      dict(m=2), dict(labels="adversarial_greedy", oracle="clairvoyant:0.2"),
      dict(labels="adversarial_greedy", oracle="truth"),
      dict(forecaster="mw", T=6, m=8), dict(T=10.5), dict(T=True), dict(m=8.0),
-     dict(seed=1.5), dict(seed=True), dict(oracle="noisy_truth:nan")],
+     dict(seed=1.5), dict(seed=True), dict(oracle="noisy_truth:nan"),
+     dict(rule=None), dict(oracle=None), dict(labels=3),
+     dict(m=None, exponent="0.35")],
 )
 def test_run_rejects_bad_configs(kw):
     with pytest.raises(ConfigError):
@@ -601,9 +603,34 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
         sweep(_cfg(), [32], seeds=0)
     with pytest.raises(ConfigError):
         sweep(_cfg(), [32], seeds=[])
+    # entries are checked, not truncated by int()
+    for T_grid in ([32.5], [True]):
+        with pytest.raises(ConfigError):
+            sweep(_cfg(), T_grid, seeds=1)
+    for seeds in (True, "12", [0.5]):
+        with pytest.raises(ConfigError):
+            sweep(_cfg(), [32], seeds=seeds)
     monkeypatch.setenv("RECAL_THREADS", "zero")
     with pytest.raises(ConfigError):
         sweep(_cfg(), [32], seeds=1)
     monkeypatch.setenv("RECAL_THREADS", "0")
     with pytest.raises(ConfigError):
         sweep(_cfg(), [32], seeds=1)
+
+
+def test_sweep_checks_every_horizon_before_any_job(monkeypatch):
+    # m = ceil(4^(1/3)) = 2 is below Brier's least grid, 3; the sweep must
+    # refuse before a job runs, not when the worker reaches T = 4
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    calls = []
+    final_metrics = harness._final_metrics
+
+    def counted(cfg):
+        calls.append(cfg.T)
+        return final_metrics(cfg)
+
+    monkeypatch.setattr(harness, "_final_metrics", counted)
+    base = _cfg(m=None, exponent=1.0 / 3.0)
+    with pytest.raises(ConfigError, match="m must be >="):
+        sweep(base, [64, 4, 128], seeds=2)
+    assert calls == []

@@ -16,7 +16,6 @@ from recal.mw_recalibrator import (
     dp_denominator,
     dp_weighted_loss,
     lifted_dimension,
-    lifted_max_coordinate,
     mw_choose,
     mw_init,
     mw_update,
@@ -26,6 +25,7 @@ from recal.scoring import brier, log_clipped, score_pair
 from .reference import (
     DenseMW,
     dense_loss_parts,
+    lifted_max_coordinate,
     lifted_max_reference,
     mw_choose_dense,
     mw_choose_scan,

@@ -28,7 +28,6 @@ from recal.recalibrator import (
     ProtocolError,
     RecalibratorState,
     _approach,
-    approach,
     approach_with_cost,
     dual_set_diameter,
     observe,
@@ -38,6 +37,7 @@ from recal.scoring import brier, log_clipped, score_pair
 
 from .reference import (
     ScalarRecalibratorState,
+    approach,
     approach_scan,
     f_value,
     ogd_learning_rate,
@@ -185,13 +185,13 @@ _OPTIMIZED_CHECKS = """
 import sys
 import numpy as np
 from recal.geometry import HalfspaceParam, game_config
-from recal.recalibrator import _approach, approach
+from recal.recalibrator import _approach, approach_with_cost
 from recal.scoring import brier
 
 assert not __debug__ and sys.flags.optimize
 cfg = game_config(4, brier())
 for call, exc in (
-    (lambda: approach(cfg, HalfspaceParam(np.zeros(5), -1.0), 0.5), ValueError),
+    (lambda: approach_with_cost(cfg, HalfspaceParam(np.zeros(5), -1.0), 0.5), ValueError),
     (lambda: _approach(cfg, [0.0] * 5, -1.0, 0.5, False), RuntimeError),
 ):
     try:
