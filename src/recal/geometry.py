@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,9 @@ class GameConfig:
     lam is the payoff normalization max(1, L_s); the regret coordinate
     is stored divided by lam so every payoff coordinate has magnitude
     at most 1, and reg_threshold is scaled identically.  score0/score1
-    cache score(i/m, y) over the grid for the per-round hot path.
+    cache score(i/m, y) over the grid for the per-round hot path, and
+    points the point-mass supports ((i, 1.0),), so that a round that
+    plays a point mass builds nothing.
     """
 
     m: int
@@ -48,6 +50,7 @@ class GameConfig:
     grid: tuple[float, ...]
     score0: tuple[float, ...]
     score1: tuple[float, ...]
+    points: tuple[tuple[tuple[int, float]], ...] = field(repr=False)
 
 
 def unchecked_game_config(m: int, rule: ScoringRule) -> GameConfig:
@@ -76,6 +79,7 @@ def unchecked_game_config(m: int, rule: ScoringRule) -> GameConfig:
         grid=grid,
         score0=score0,
         score1=score1,
+        points=tuple(((i, 1.0),) for i in range(m + 1)),
     )
 
 
@@ -113,8 +117,8 @@ class ForecastDistribution:
     @classmethod
     def pair(cls, j: int, w_lo: float, w_hi: float) -> "ForecastDistribution":
         """The two-point distribution on (j, j+1), with the checks of
-        __post_init__ written out for two points; the oracle's mixtures
-        are built this way once per round."""
+        __post_init__ written out for two points; RecalibratorState.predict
+        wraps the oracle's mixtures this way."""
         if w_lo < 0.0:
             raise ValueError(f"negative weight {w_lo} at index {j}")
         if w_hi < 0.0:

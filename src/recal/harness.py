@@ -10,7 +10,6 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -243,28 +242,23 @@ class Trace:
         return self.checkpoints[-1]
 
 
-class _Play(NamedTuple):
-    """A play by its (index, weight) support, which need not be adjacent."""
-
-    support: tuple
-
-
 class _PassthroughForecaster(PayoffLedger):
     """Plays the grid point nearest to each quote.
 
-    predict keeps the play's support and quote_scores, the round's
-    (score(q, 0), score(q, 1)), for observe, which adds the round's
+    play keeps the play's support and quote_scores, the round's
+    (score(q, 0), score(q, 1)), for update, which adds the round's
     payoff to the ledger.
     """
 
-    def predict(self, q: float, quote_scores):
+    def play(self, q: float, quote_scores):
         i = nearest_grid_index(q, self.cfg.m)
-        self._support = ((i, 1.0),)
+        self._support = support = self.cfg.points[i]
         self._quote_scores = quote_scores
-        return self.cfg.grid[i], _Play(self._support)
+        return i, support
 
-    def observe(self, q: float, y: int) -> None:
-        self.cum_reg += add_payoff(self.cfg, self._support, q, y, self._cal_view,
+    def update(self, y: int) -> None:
+        # add_payoff reads q only to score it, and the score is passed
+        self.cum_reg += add_payoff(self.cfg, self._support, None, y, self._cal_view,
                                    self._quote_scores[y])
 
 
@@ -277,19 +271,19 @@ class _MWForecaster(_PassthroughForecaster):
         super().__init__(cfg, rng)
         self.state = mw_init(cfg, T)
 
-    def predict(self, q: float, quote_scores):
-        self._support = mw_choose(self.state, q)
+    def play(self, q: float, quote_scores):
+        self._support = support = mw_choose(self.state, q, quote_scores)
         self._quote_scores = quote_scores
         u = self._uniform()
         acc = 0.0
-        for i, wi in self._support:
+        for i, wi in support:
             acc += wi
             if u < acc:
                 break
-        return self.cfg.grid[i], _Play(self._support)
+        return i, support
 
-    def observe(self, q: float, y: int) -> None:
-        super().observe(q, y)
+    def update(self, y: int) -> None:
+        super().update(y)
         mw_update(self.state, self._support, self._quote_scores[y], y)
 
 
@@ -348,7 +342,9 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     ps = trace.p
     ys_out = [] if adversarial else ys
     trace.y = ys_out
+    grid = gcfg.grid
     score_tables = (gcfg.score0, gcfg.score1)
+    play, update, add = forecaster.play, forecaster.update, stats.add
     # The greedy adversary reads the live ledger and carries its l1 norm.
     ledger = forecaster.ledger
     ledger_l1 = 0.0
@@ -357,25 +353,21 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         # The round's two quote scores, shared by the forecaster, the
         # adversary and stats.
         quote_scores = score_pair(rule, q)
-        p, w = forecaster.predict(q, quote_scores)
+        i, support = play(q, quote_scores)
         if adversarial:
-            y, ledger_l1 = adversary_label(w.support, quote_scores, ledger, forecaster.cum_reg,
+            y, ledger_l1 = adversary_label(support, quote_scores, ledger, forecaster.cum_reg,
                                            ledger_l1, t1 - 1, gcfg)
             ys_out.append(y)
         else:
             y = ys[t1 - 1]
-        ps.append(p)
-        stats.record(p, q, y, rule, quote_scores[y], score_tables[y])
-        forecaster.observe(q, y)
+        ps.append(grid[i])
+        add(i, y, score_tables[y][i], quote_scores[y])
+        update(y)
         if t1 in cp_set:
             cum = forecaster.cum_payoff
             trace.checkpoints.append(CheckpointMetrics(
-                t=t1,
-                calib_l1=stats.calibration_l1(),
-                calibration_rate=stats.calibration_rate(),
-                average_regret=stats.average_regret(),
-                recalibration_rate=stats.recalibration_rate(delta),
-                dist_to_target=dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+                t1, *stats.rates(delta),
+                dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
 
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats

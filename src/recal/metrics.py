@@ -26,22 +26,29 @@ class BucketStats:
         self.cum_forecaster_score = 0.0
         self.cum_oracle_score = 0.0
 
+    def add(self, i: int, y: int, forecast_score: float, quote_score: float) -> None:
+        """Absorb one round by its grid index: bucket i gets label y,
+        and the two scores of the round are accumulated."""
+        self.counts[i] += 1
+        self.label_sums[i] += y
+        self.T += 1
+        self.cum_forecaster_score += forecast_score
+        self.cum_oracle_score += quote_score
+
     def record(self, p: float, q: float, y: int, rule: ScoringRule,
                q_score=None, grid_scores=None) -> "BucketStats":
-        """Absorb one round: bucket the forecast and accumulate scores.
+        """Absorb one round by its forecast p: the checked form of add.
 
         A caller that already has the scores may pass them: q_score is
         score(rule, q, y), and grid_scores is the table score(rule, i/m, y)
         over the grid (GameConfig.score0 or score1), valid only when p
         is a grid point.  They are the same floats the score calls give.
         """
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y}")
         i = nearest_grid_index(p, self.m)
-        self.counts[i] += 1
-        self.label_sums[i] += y
-        self.T += 1
-        self.cum_forecaster_score += (score(rule, p, y) if grid_scores is None
-                                      else grid_scores[i])
-        self.cum_oracle_score += score(rule, q, y) if q_score is None else q_score
+        self.add(i, y, score(rule, p, y) if grid_scores is None else grid_scores[i],
+                 score(rule, q, y) if q_score is None else q_score)
         return self
 
     def calibration_l1(self) -> float:
@@ -56,18 +63,31 @@ class BucketStats:
                 total += abs(n * (i / m) - self.label_sums[i])
         return total / self.T
 
-    def calibration_rate(self) -> float:
-        """l1 calibration error minus the half-bucket slack, floored at 0."""
-        return max(0.0, self.calibration_l1() - 0.5 / self.m)
-
     def average_regret(self) -> float:
         if self.T == 0:
             raise ValueError("no rounds recorded")
         return (self.cum_forecaster_score - self.cum_oracle_score) / self.T
 
+    def rates(self, delta: float) -> tuple[float, float, float, float]:
+        """(l1 calibration error, calibration rate, average regret,
+        recalibration rate), each O(m) sum taken once.
+
+        The calibration rate is the l1 error minus the half-bucket slack,
+        floored at 0; the recalibration rate is the max of 0, the
+        calibration rate and the regret beyond delta/2.
+        """
+        l1 = self.calibration_l1()
+        regret = self.average_regret()
+        cal_rate = max(0.0, l1 - 0.5 / self.m)
+        return l1, cal_rate, regret, max(0.0, cal_rate, regret - delta / 2.0)
+
+    def calibration_rate(self) -> float:
+        """l1 calibration error minus the half-bucket slack, floored at 0."""
+        return self.rates(0.0)[1]
+
     def recalibration_rate(self, delta: float) -> float:
         """max of 0, the calibration rate, and regret beyond delta/2."""
-        return max(0.0, self.calibration_rate(), self.average_regret() - delta / 2.0)
+        return self.rates(delta)[3]
 
     def recalibration_vector(self):
         """(c, R): per-bucket signed calibration gaps and average regret."""

@@ -37,7 +37,8 @@ class MWState:
     are carried beside u and refreshed by mw_update on the support of
     each play only.  Every field stays finite for any finite loss
     history, so there is one numeric mode.  The arrays mw_choose reads
-    on every call (grid minus label, grid scores) are built once here.
+    on every call (grid minus label, grid scores, the quote's score
+    column) are built once here.
     """
 
     cfg: GameConfig
@@ -51,6 +52,7 @@ class MWState:
     _views: tuple = field(init=False, repr=False)
     _grid_minus_y: np.ndarray = field(init=False, repr=False)
     _scores: np.ndarray = field(init=False, repr=False)
+    _quote_column: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.cfg
@@ -64,6 +66,7 @@ class MWState:
         grid = np.array(cfg.grid)
         self._grid_minus_y = np.stack([grid - 0.0, grid - 1.0])
         self._scores = np.array([cfg.score0, cfg.score1])
+        self._quote_column = np.empty((2, 1))
 
 
 def mw_init(cfg: GameConfig, T: int) -> MWState:
@@ -129,7 +132,7 @@ def dp_weighted_loss(state: MWState, x, q: float, y: int) -> float:
     return w_pat * cal + w_reg * reg
 
 
-def mw_choose(state: MWState, q: float) -> tuple:
+def mw_choose(state: MWState, q: float, quote_scores=None) -> tuple:
     """The distribution minimizing the worst-label weighted loss, as its
     (index, weight) support: ascending indices, Python floats, no zero
     weight, at most two entries.
@@ -146,10 +149,13 @@ def mw_choose(state: MWState, q: float) -> tuple:
     not.  A replaced line is never lowest again, so at most m+1 steps
     are taken.  The grid point nearest to q is played unless the
     optimum is strictly lower.  Memory is O(m), and so is each step.
+    quote_scores is the pair (score(q, 0), score(q, 1)) when the caller
+    already has it.
     """
     n = state.cfg.m + 1
     w_pat, w_reg = _shares(state)
-    sq = np.array(score_pair(state.cfg.rule, q)).reshape(2, 1)
+    sq = state._quote_column
+    sq[0, 0], sq[1, 0] = score_pair(state.cfg.rule, q) if quote_scores is None else quote_scores
     h0, h1 = state._grid_minus_y * (state.rho * w_pat) + (state._scores - sq) * w_reg
     d = h0 - h1
     a = int(h1.argmin())

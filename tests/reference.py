@@ -26,9 +26,10 @@ and mw_update on dense m+1 distributions.  _trace_csv_text,
 _trace_json_rows and _json_text are the trace formatters that built a
 whole trace file as one string (the JSON one through the pure-Python
 indented encoder); the chunked trace writer must reproduce their bytes.
-approach (approach_with_cost without its count), lifted_max_coordinate
-(the MW baseline's lifted max as an l1 norm) and forecast_mean are
-small helpers that only tests call.
+approach (approach_with_cost without its count), oracle (one play of
+the recalibrator at any theta, K or not, with its evaluation count),
+lifted_max_coordinate (the MW baseline's lifted max as an l1 norm) and
+forecast_mean are small helpers that only tests call.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from recal.recalibrator import (
     GRAD_NORM_BOUND,
     ProtocolError,
     RecalibratorState,
+    _state_at,
     approach_with_cost,
     dual_set_diameter,
 )
@@ -74,6 +76,14 @@ def forecast_mean(w: ForecastDistribution, m: int) -> float:
 def approach(cfg: GameConfig, theta: HalfspaceParam, q: float) -> ForecastDistribution:
     """The halfspace response to theta at q, without its evaluation count."""
     return approach_with_cost(cfg, theta, q)[0]
+
+
+def oracle(cfg: GameConfig, a, b: float, q: float):
+    """One play of the recalibrator's oracle at theta = (a, b), with no
+    check that theta lies in K: (distribution, f evaluation count)."""
+    state = _state_at(cfg, a, b)
+    _, support = state.play(q, score_pair(cfg.rule, q))
+    return ForecastDistribution(support), state.f_evals
 
 
 def lifted_max_coordinate(cal_avg, reg_avg: float) -> float:

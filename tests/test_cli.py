@@ -1,6 +1,8 @@
 """CLI: output files, config precedence, exit codes, and self-verification."""
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -175,6 +177,39 @@ def test_trace_writer_memory_does_not_grow_with_T():
         peaks[T], block = _writer_peak(trace, "json")
     assert abs(peaks[2**17] - peaks[2**14]) <= block, (peaks, block)
     assert peaks[2**17] <= 8 * block, (peaks, block)
+
+
+# sha256 of what the benchmark's command lines write at seed 200, as
+# bench/run.py prints them: one trace per run, sweep.csv for the sweep
+BENCH_DIGESTS = {
+    "run_stochastic": ["6d7051ff3d9a5b38b3006f57d02f174904fba85a68e3f9310e96fcac90e79fbf"],
+    "run_adversarial": ["0ecdc98734ea97ae0b366512321d4bb092659097d1349fdfaf4dc9c0406aba07",
+                        "17afb71fe1a40e0a64568da241b383c62fc50786f2a068c961eb3b59920feb4d"],
+    "run_mw": ["a327ba1735e256f8c2d54371f97530625a4432577281347dd1c61c3a07e4fe25"],
+    "sweep": ["ded58003e783822c23dcc43b99757f0ef05dfc1fc3d8e2e9e391c418e86b789e"],
+}
+
+
+def test_bench_command_lines_write_the_pinned_bytes(tmp_path, monkeypatch):
+    path = Path(cli.__file__).resolve().parents[2] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    assert sorted(workloads.NAMES) == sorted(BENCH_DIGESTS)
+    for name, digests in BENCH_DIGESTS.items():
+        wl = workloads.build(name, 200, str(tmp_path / name))
+        if wl.sweep is not None:
+            assert cli.main(list(wl.sweep.argv)) == 0
+            files = [tmp_path / name / "0" / "sweep.csv"]
+        else:
+            for call in wl.calls:
+                assert cli.main(list(call.argv)) == 0
+            files = [tmp_path / name / str(k) / f"trace.{call.fmt}"
+                     for k, call in enumerate(wl.calls)]
+        got = [hashlib.sha256(f.read_bytes()).hexdigest() for f in files]
+        assert got == digests, name
 
 
 def test_run_flag_overrides_config_file(tmp_path):

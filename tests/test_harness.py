@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,9 +34,10 @@ from recal.harness import (
     run_experiment,
     sweep,
 )
+from recal.metrics import BucketStats, default_regret_slack
 from recal.mw_recalibrator import lifted_dimension
-from recal.recalibrator import RecalibratorState, dual_set_diameter
-from recal.scoring import brier, score
+from recal.recalibrator import RecalibratorState, approach_with_cost, dual_set_diameter
+from recal.scoring import brier, score, score_pair
 
 from .reference import adversary_label_payoff, adversary_label_scan, lifted_max_coordinate
 
@@ -448,6 +450,92 @@ def test_sweep_rows_are_pinned(tmp_path, monkeypatch):
     assert code == 0
     assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
             == "0e38391e9d0805d5612459f36d97d40a895ec4fef817f513e15d635c03708587")
+
+
+def test_an_approach_round_is_flat():
+    # a round calls score_pair, play, BucketStats.add and update, and from
+    # play only the sampler (mixture rounds) and nearest_grid_index (theta
+    # = 0, the first round): no call builds a distribution object
+    T = 256
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_back.f_code.co_name, frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_experiment(_cfg(T=T, m=64))
+    finally:
+        sys.setprofile(None)
+    assert {k for k, n in calls.items() if n >= T and k[0] == "run_experiment"} == {
+        ("run_experiment", f) for f in ("score_pair", "play", "add", "update")}
+    inner = {k: n for k, n in calls.items() if k[0] in ("play", "update", "add")}
+    assert set(inner) == {("play", "_uniform"), ("play", "nearest_grid_index")}, inner
+    assert inner["play", "nearest_grid_index"] < 5
+
+
+def _public_replay(cfg: ExperimentConfig):
+    """run_experiment's approach run replayed through the checked public
+    calls: predict/observe, BucketStats.record with the score calls,
+    adversary_label for adversarial labels, the rates written out from
+    calibration_l1 and average_regret, and approach_with_cost at each
+    round's theta, whose counts are summed."""
+    gcfg, labels_src, oracle_src, ss_forecaster = harness._checked(cfg)
+    m, rule, T = gcfg.m, gcfg.rule, cfg.T
+    ys = labels_src.generate(T)
+    qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
+    state = RecalibratorState(gcfg, np.random.default_rng(ss_forecaster))
+    stats = BucketStats(m)
+    delta = default_regret_slack(rule, m)
+    cps = set(checkpoint_schedule(T))
+    ps, ys_out, checkpoints = [], [], []
+    l1 = 0.0
+    evals = 0
+    for t1, q in enumerate(qs, 1):
+        w_ref, n = approach_with_cost(gcfg, state.theta, q)
+        evals += n
+        p, w = state.predict(q)
+        assert w == w_ref
+        if ys is None:
+            y, l1 = harness.adversary_label(w.support, score_pair(rule, q), state.ledger,
+                                            state.cum_reg, l1, t1 - 1, gcfg)
+        else:
+            y = ys[t1 - 1]
+        stats.record(p, q, y, rule)
+        state.observe(q, y)
+        ps.append(p)
+        ys_out.append(y)
+        if t1 in cps:
+            calib, regret = stats.calibration_l1(), stats.average_regret()
+            cal_rate = max(0.0, calib - 0.5 / m)
+            cum = state.cum_payoff
+            checkpoints.append(harness.CheckpointMetrics(
+                t1, calib, cal_rate, regret, max(0.0, cal_rate, regret - delta / 2.0),
+                dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+    return ps, ys_out, checkpoints, state, stats, evals
+
+
+@pytest.mark.parametrize("m", [3, 64, 1024])
+@pytest.mark.parametrize("labels, oracle", [
+    ("iid_bernoulli:0.5", "clairvoyant:0.2"),
+    ("periodic:0110", "noisy_truth:0.1"),
+    ("adversarial_greedy", "constant:0.5"),
+])
+def test_public_path_replays_the_run(m, labels, oracle):
+    # the loop's play/update by grid index and the checked wrappers are
+    # one code path: the replay matches the run bit for bit
+    cfg = _cfg(T=600, m=m, labels=labels, oracle=oracle, seed=9)
+    trace = run_experiment(cfg)
+    ps, ys, checkpoints, state, stats, evals = _public_replay(cfg)
+    assert trace.p == ps and trace.y == ys
+    assert repr(trace.checkpoints) == repr(checkpoints)
+    assert trace.cum_payoff.cal.tobytes() == state.cum_payoff.cal.tobytes()
+    assert repr(trace.cum_payoff.reg) == repr(state.cum_payoff.reg)
+    for key in ("counts", "label_sums", "T", "cum_forecaster_score", "cum_oracle_score"):
+        assert repr(getattr(trace.stats, key)) == repr(getattr(stats, key)), key
+    assert state.f_evals == evals > 0
+    assert state.mixture_rounds > 0
 
 
 def test_passthrough_truth_on_grid_has_zero_regret():

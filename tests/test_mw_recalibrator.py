@@ -460,6 +460,8 @@ def test_choose_support_is_the_dense_plays_nonzero_entries():
         idx = x.nonzero()[0]
         support = mw_choose(state, q)
         assert _bits(support) == _bits(zip(idx.tolist(), x[idx].tolist())), (q, x)
+        # the round loop passes the quote's scores it already has
+        assert _bits(mw_choose(state, q, score_pair(state.cfg.rule, q))) == _bits(support)
         assert np.array_equal(mw_choose_vector(state, q), x)
         y = draws % 2
         dense, step = _clone(state), _clone(state)
@@ -501,12 +503,12 @@ def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
     fast = run_experiment(cfg)
     calls = []
 
-    def checked(state, q):
+    def checked(state, q, quote_scores=None):
         calls.append(q)
         _assert_same_value(state, q)
-        return mw_choose(state, q)
+        return mw_choose(state, q, quote_scores)
 
-    # the binding _MWForecaster.predict looks up at call time
+    # the binding _MWForecaster.play looks up at call time
     monkeypatch.setattr(harness, "mw_choose", checked)
     slow = run_experiment(cfg)
     assert len(calls) == cfg.T

@@ -27,7 +27,7 @@ from recal.recalibrator import (
     DEGENERATE_DELTA,
     ProtocolError,
     RecalibratorState,
-    _approach,
+    _state_at,
     approach_with_cost,
     dual_set_diameter,
     observe,
@@ -40,6 +40,7 @@ from .reference import (
     approach,
     approach_scan,
     f_value,
+    oracle,
     ogd_learning_rate,
     ogd_step,
 )
@@ -175,24 +176,30 @@ def test_oracle_endpoint_invariants_raise():
     # below the boundary check must refuse instead of bisecting
     cfg = game_config(4, brier())
     with pytest.raises(RuntimeError, match=r"f\(0, 0\)"):
-        _approach(cfg, [0.0] * 5, -1.0, 0.5, False)
+        oracle(cfg, [0.0] * 5, -1.0, 0.5)
     # at q = 0, f(0, 0) = 0 holds but f(m, 1) = -b/lam > 0
     with pytest.raises(RuntimeError, match=r"f\(m, 1\)"):
-        _approach(cfg, [-1.0, 0.0, 0.0, 0.0, 0.0], -1.0, 0.0, False)
+        oracle(cfg, [-1.0, 0.0, 0.0, 0.0, 0.0], -1.0, 0.0)
 
 
 _OPTIMIZED_CHECKS = """
 import sys
 import numpy as np
 from recal.geometry import HalfspaceParam, game_config
-from recal.recalibrator import _approach, approach_with_cost
-from recal.scoring import brier
+from recal.metrics import BucketStats
+from recal.recalibrator import RecalibratorState, _state_at, approach_with_cost
+from recal.scoring import brier, score_pair
 
 assert not __debug__ and sys.flags.optimize
 cfg = game_config(4, brier())
+state = RecalibratorState(cfg, 0)
+state.predict(0.5)
 for call, exc in (
     (lambda: approach_with_cost(cfg, HalfspaceParam(np.zeros(5), -1.0), 0.5), ValueError),
-    (lambda: _approach(cfg, [0.0] * 5, -1.0, 0.5, False), RuntimeError),
+    (lambda: _state_at(cfg, [0.0] * 5, -1.0).play(0.5, score_pair(cfg.rule, 0.5)),
+     RuntimeError),
+    (lambda: BucketStats(4).record(0.5, 0.5, 2, cfg.rule), ValueError),
+    (lambda: state.observe(0.5, 2), ValueError),
 ):
     try:
         call()
@@ -421,7 +428,7 @@ def test_oracle_matches_scan_bitwise():
         for m in list(range(1, 71)) + [1024]:
             cfg = unchecked_game_config(m, rule)
             for a, b, q, is_zero in _scan_draws(rng, cfg):
-                w, evals = _approach(cfg, a, b, q, is_zero)
+                w, evals = oracle(cfg, a, b, q)
                 w_ref, evals_ref = approach_scan(cfg, a, b, q, is_zero)
                 assert (w.support, evals) == (w_ref.support, evals_ref), (m, rule, q)
                 # == on floats would pass -0.0 for 0.0; compare the bits too
@@ -451,13 +458,37 @@ def test_oracle_matches_scan_on_degenerate_mixtures():
                 a[0] = -0.5
                 a[k] = -1e-14
                 a[k + 1:] = [1e-13] * (m - k)
-                w, evals = _approach(cfg, a, 0.0, 0.5, False)
+                w, evals = oracle(cfg, a, 0.0, 0.5)
                 w_ref, evals_ref = approach_scan(cfg, a, 0.0, 0.5, False)
                 assert (w.support, evals) == (w_ref.support, evals_ref)
+                state = _state_at(cfg, a, 0.0)
+                state.play(0.5, score_pair(rule, 0.5))
+                assert (state.degenerate_fallbacks, state.mixture_rounds) == (1, 0)
                 assert len(w.support) == 1 and w.support[0][0] in (k, k + 1)
                 f_lo0, f_lo1 = a[k] * cfg.grid[k], a[k] * (cfg.grid[k] - 1.0)
                 f_hi0, f_hi1 = a[k + 1] * cfg.grid[k + 1], a[k + 1] * (cfg.grid[k + 1] - 1.0)
                 assert abs(f_lo0 - f_hi0 - f_lo1 + f_hi1) < DEGENERATE_DELTA
+
+
+def test_oracle_counters_match_the_scan():
+    # one play per state: each counter reads 0 or 1, or the scan's count
+    rng = np.random.default_rng(32)
+    seen = {"endpoint_answers": 0, "mixture_rounds": 0}
+    for rule in (brier(), log_clipped(0.05)):
+        for m in (2, 3, 17, 64, 1024):
+            cfg = unchecked_game_config(m, rule)
+            for a, b, q, is_zero in _scan_draws(rng, cfg):
+                state = _state_at(cfg, a, b)
+                _, support = state.play(q, score_pair(rule, q))
+                w_ref, evals_ref = approach_scan(cfg, a, b, q, is_zero)
+                assert state.f_evals == evals_ref
+                assert state.mixture_rounds == (len(w_ref.support) == 2)
+                # with m >= 2 the bisection takes a step, so only an
+                # endpoint answer costs 2 or 4 evaluations
+                assert state.endpoint_answers == (evals_ref in (2, 4))
+                for key in seen:
+                    seen[key] += getattr(state, key)
+    assert min(seen.values()) >= 50, seen
 
 
 def _play_pair(cfg, T, seed):
