@@ -117,8 +117,11 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
 
 
 def _json_items(values) -> list:
-    """Cell texts of values from the C encoder: the same float, int and
-    null text as the indented encoder writes."""
+    """Cell texts of values, a list or a block of a typed column, from the
+    C encoder: the same float, int and null text as the indented encoder
+    writes.  json refuses an array, so a block goes through tolist."""
+    if not isinstance(values, list):
+        values = values.tolist()
     return json.dumps(values)[1:-1].split(", ")
 
 
@@ -150,7 +153,8 @@ class _TraceFormat(NamedTuple):
     plain and full are row templates whose fields 0-7 are the columns of
     TRACE_HEADER: plain has the four empty checkpoint cells baked in,
     full is the checkpoint row.  Every row starts with sep, which the
-    file's first row drops.  items turns a list of values into cell texts.
+    file's first row drops.  items turns a list or a column block into
+    cell texts.
     """
 
     head: str

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
 import os
 import time
+from array import array
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +32,9 @@ FORECASTERS = ("approach", "mw", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
 EXPONENT_HI = 2.0 / 5.0
 EXPONENT_TOL = 1e-3
+# Rounds per block of quotes and labels: run_experiment makes them a
+# block at a time, so what it holds besides the Trace does not grow with T.
+BLOCK_ROUNDS = 1024
 
 
 class ConfigError(ValueError):
@@ -80,24 +84,33 @@ class LabelSource:
     def is_adversarial(self) -> bool:
         return self.kind == "adversarial_greedy"
 
-    def generate(self, T: int):
+    def generate(self, n: int, start: int = 0):
+        """The labels of rounds start+1 .. start+n, or None when adversarial.
+
+        iid draws continue the stream's generator, so calls for
+        consecutive blocks from start = 0 give the labels of one call for
+        all their rounds.
+        """
         if self.kind == "iid_bernoulli":
-            return (self.rng.random(T) < self.param).astype(int).tolist()
+            return (self.rng.random(n) < self.param).astype(int).tolist()
         if self.kind == "periodic":
-            pattern = self.param
-            reps = T // len(pattern) + 1
-            return (pattern * reps)[:T]
+            return self._cycle(n, start)
         return None
 
-    def pi_schedule(self, T: int):
-        """Conditional label probabilities, for the truth oracle."""
+    def pi_schedule(self, n: int, start: int = 0):
+        """Conditional label probabilities of the same rounds, for the
+        truth oracle."""
         if self.kind == "iid_bernoulli":
-            return [self.param] * T
+            return [self.param] * n
         if self.kind == "periodic":
-            pattern = self.param
-            reps = T // len(pattern) + 1
-            return [float(v) for v in (pattern * reps)[:T]]
+            return [float(v) for v in self._cycle(n, start)]
         return None
+
+    def _cycle(self, n: int, start: int) -> list:
+        """The periodic pattern over rounds start+1 .. start+n."""
+        pattern = self.param
+        k = start % len(pattern)
+        return ((pattern[k:] + pattern[:k]) * (n // len(pattern) + 1))[:n]
 
 
 def make_label_stream(spec: str, seed=None) -> LabelSource:
@@ -132,9 +145,11 @@ class OracleSource:
         self.param = param
         self.rng = rng
 
-    def quotes(self, T: int, labels, pi_schedule):
+    def quotes(self, n: int, labels, pi_schedule):
+        """The quotes of n rounds whose labels and label probabilities
+        are given; noise draws continue the source's generator."""
         if self.kind == "constant":
-            return [self.param] * T
+            return [self.param] * n
         if self.kind == "clairvoyant":
             beta = self.param
             y = np.asarray(labels, dtype=float)
@@ -143,7 +158,7 @@ class OracleSource:
             return list(pi_schedule)
         # noisy_truth
         pi = np.asarray(pi_schedule, dtype=float)
-        noise = self.rng.normal(0.0, self.param, size=T)
+        noise = self.rng.normal(0.0, self.param, size=n)
         return np.clip(pi + noise, 0.0, 1.0).tolist()
 
 
@@ -226,11 +241,17 @@ class CheckpointMetrics:
 
 @dataclass
 class Trace:
+    """A run's rounds and checkpoints.
+
+    q is an array('d') and y an array('b'), 8 and 1 bytes a round; p is
+    a list of the grid's own floats, 8 bytes of pointer a round.
+    """
+
     config: ExperimentConfig
     m: int
-    q: list = field(default_factory=list)
+    q: array = field(default_factory=lambda: array("d"))
     p: list = field(default_factory=list)
-    y: list = field(default_factory=list)
+    y: array = field(default_factory=lambda: array("b"))
     checkpoints: list = field(default_factory=list)
     stats: BucketStats | None = None
     cum_payoff: PayoffVector | None = None
@@ -321,15 +342,13 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     gcfg, labels_src, oracle_src, ss_forecaster = _checked(cfg)
     rule, m = gcfg.rule, gcfg.m
     T = cfg.T
-    ys = labels_src.generate(T)
-    qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
-    adversarial = ys is None
+    adversarial = labels_src.is_adversarial
 
     trace = Trace(config=cfg, m=m, game=gcfg)
-    trace.q = qs
     stats = BucketStats(m)
     delta = default_regret_slack(rule, m)
-    cp_set = set(checkpoint_schedule(T))
+    schedule = iter(checkpoint_schedule(T))
+    next_cp = next(schedule)
     rng = np.random.default_rng(ss_forecaster)
 
     if cfg.forecaster == "approach":
@@ -339,35 +358,43 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     else:
         forecaster = _PassthroughForecaster(gcfg)
 
-    ps = trace.p
-    ys_out = [] if adversarial else ys
-    trace.y = ys_out
+    qs_out, ps, ys_out = trace.q, trace.p, trace.y
     grid = gcfg.grid
     score_tables = (gcfg.score0, gcfg.score1)
     play, update, add = forecaster.play, forecaster.update, stats.add
     # The greedy adversary reads the live ledger and carries its l1 norm.
     ledger = forecaster.ledger
     ledger_l1 = 0.0
-    for t1 in range(1, T + 1):
-        q = qs[t1 - 1]
-        # The round's two quote scores, shared by the forecaster, the
-        # adversary and stats.
-        quote_scores = score_pair(rule, q)
-        i, support = play(q, quote_scores)
+    for lo in range(0, T, BLOCK_ROUNDS):
+        n = min(BLOCK_ROUNDS, T - lo)
+        ys = labels_src.generate(n, lo)
+        qs = oracle_src.quotes(n, ys, labels_src.pi_schedule(n, lo))
         if adversarial:
-            y, ledger_l1 = adversary_label(support, quote_scores, ledger, forecaster.cum_reg,
-                                           ledger_l1, t1 - 1, gcfg)
-            ys_out.append(y)
+            labels, ys = itertools.repeat(None), []
         else:
-            y = ys[t1 - 1]
-        ps.append(grid[i])
-        add(i, y, score_tables[y][i], quote_scores[y])
-        update(y)
-        if t1 in cp_set:
-            cum = forecaster.cum_payoff
-            trace.checkpoints.append(CheckpointMetrics(
-                t1, *stats.rates(delta),
-                dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+            labels = ys
+        for t1, q, y in zip(range(lo + 1, lo + n + 1), qs, labels):
+            # The round's two quote scores, shared by the forecaster, the
+            # adversary and stats.
+            quote_scores = score_pair(rule, q)
+            i, support = play(q, quote_scores)
+            if adversarial:
+                y, ledger_l1 = adversary_label(support, quote_scores, ledger,
+                                               forecaster.cum_reg, ledger_l1, t1 - 1, gcfg)
+                ys.append(y)
+            ps.append(grid[i])
+            add(i, y, score_tables[y][i], quote_scores[y])
+            update(y)
+            if t1 == next_cp:
+                cum = forecaster.cum_payoff
+                trace.checkpoints.append(CheckpointMetrics(
+                    t1, *stats.rates(delta),
+                    dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+                next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
+        # Labels are 0 or 1, so bytes() packs them for array('b') in one
+        # C loop; fromlist would check each item as a small int.
+        qs_out.fromlist(qs)
+        ys_out.frombytes(bytes(ys))
 
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
@@ -469,9 +496,15 @@ def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
     else:
         seed_list = _int_list(seeds, "seeds")
 
-    jobs = [replace(base, T=T, seed=s) for T in Ts for s in seed_list]
+    # The longest horizons go first, so no pool worker is left alone with
+    # one at the end.  The rows group results by T, each horizon's seeds
+    # in order, so the job order does not change them.
+    jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
+        # Imported here: a run that never sweeps does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_final_metrics, jobs))
     else:

@@ -144,10 +144,12 @@ def test_trace_blocks_match_whole_file_formatters(monkeypatch, forecaster, label
 
 def test_trace_cells_have_the_types_the_writer_formats():
     # The writer formats q and p by float repr and y by int repr; a numpy
-    # scalar would spell itself 'np.float64(0.5)' in the CSV.
+    # scalar would spell itself 'np.float64(0.5)' in the CSV.  q and y are
+    # typed arrays, whose items read back as float and int.
     for forecaster in FORECASTERS:
         for labels, oracle in LABEL_ORACLES:
             trace = _matrix_trace(forecaster, labels, oracle, 64)
+            assert (trace.q.typecode, trace.y.typecode) == ("d", "b")
             assert {type(v) for v in trace.q} == {float}, (forecaster, labels, oracle)
             assert {type(v) for v in trace.p} == {float}, (forecaster, labels, oracle)
             assert {type(v) for v in trace.y} == {int}, (forecaster, labels, oracle)
@@ -177,6 +179,22 @@ def test_trace_writer_memory_does_not_grow_with_T():
         peaks[T], block = _writer_peak(trace, "json")
     assert abs(peaks[2**17] - peaks[2**14]) <= block, (peaks, block)
     assert peaks[2**17] <= 8 * block, (peaks, block)
+
+
+def test_a_run_does_not_import_the_process_pool(tmp_path):
+    # Only a sweep with more than one worker loads multiprocessing, which
+    # costs a run about 2 MB of memory and 15 ms of import.
+    script = ("import sys, recal.cli; "
+              f"assert recal.cli.main(['run', '--T', '64', '--m', '4', '--out', {str(tmp_path)!r}])"
+              " == 0; print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules])")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # sha256 of what the benchmark's command lines write at seed 200, as

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -390,6 +391,62 @@ def test_shorter_run_is_a_prefix(labels, oracle):
         assert short.p == long.p[:T] and short.y == long.y[:T]
 
 
+BLOCK_KINDS = [(labels, oracle)
+               for labels in ("iid_bernoulli:0.3", "periodic:1", "periodic:011", "periodic:0110")
+               for oracle in ("truth", "noisy_truth:0.1", "clairvoyant:0.2", "constant:0.4")
+               ] + [("adversarial_greedy", "constant:0.5")]
+
+
+@pytest.mark.parametrize("labels, oracle", BLOCK_KINDS)
+def test_blocks_reproduce_whole_T_generation(monkeypatch, labels, oracle):
+    # run_experiment makes quotes and labels BLOCK_ROUNDS rounds at a time;
+    # whole-T generation, the generate(T) and quotes(T, ...) calls, is its
+    # oracle: the same q bits, labels, forecasts and checkpoints.  A block
+    # of 3 rounds also moves every periodic pattern's phase.
+    for B in (harness.BLOCK_ROUNDS, 3):
+        for T in (1, B - 1, B, B + 1, 3 * B + 7):
+            cfg = _cfg(T=T, m=8, labels=labels, oracle=oracle, seed=21)
+            monkeypatch.setattr(harness, "BLOCK_ROUNDS", B)
+            blocks = run_experiment(cfg)
+            monkeypatch.setattr(harness, "BLOCK_ROUNDS", T)
+            whole = run_experiment(cfg)
+            _, labels_src, oracle_src, _ = harness._checked(cfg)
+            ys = labels_src.generate(T)
+            qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
+            assert [q.hex() for q in blocks.q] == [q.hex() for q in qs], (B, T)
+            assert [q.hex() for q in whole.q] == [q.hex() for q in qs], (B, T)
+            if ys is not None:
+                assert list(blocks.y) == ys, (B, T)
+            assert blocks.y == whole.y and blocks.p == whole.p, (B, T)
+            assert repr(blocks.checkpoints) == repr(whole.checkpoints), (B, T)
+
+
+def test_run_memory_grows_by_the_typed_columns():
+    # A run holds q as array('d') and y as array('b'), 8 and 1 bytes a
+    # round, and p as a list of pointers into the grid, 8 bytes and the
+    # list's slack; quotes and labels are made a block at a time, so
+    # nothing else grows with T.  Whole-T lists of quotes and labels as
+    # Python objects would hold 49-64 bytes a round.  tracemalloc makes an
+    # approach round about 20x slower, hence the short horizons; a first
+    # run keeps one-off allocations (lazy imports, tables) out of both
+    # peaks.
+    run_experiment(ExperimentConfig(T=2**11, m=8, seed=0))
+    peaks = {}
+    for T in (2**11, 2**14):
+        cfg = ExperimentConfig(T=T, m=8, forecaster="approach", oracle="clairvoyant:0.2",
+                               labels="iid_bernoulli:0.5", seed=1)
+        tracemalloc.start()
+        try:
+            trace = run_experiment(cfg)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.p) == T
+        del trace
+    per_round = (peaks[2**14] - peaks[2**11]) / (2**14 - 2**11)
+    assert per_round <= 20.0, (per_round, peaks)
+
+
 def test_checkpoints_follow_schedule():
     trace = run_experiment(_cfg(T=20))
     assert [c.t for c in trace.checkpoints] == [1, 2, 4, 8, 16, 20]
@@ -528,7 +585,7 @@ def test_public_path_replays_the_run(m, labels, oracle):
     cfg = _cfg(T=600, m=m, labels=labels, oracle=oracle, seed=9)
     trace = run_experiment(cfg)
     ps, ys, checkpoints, state, stats, evals = _public_replay(cfg)
-    assert trace.p == ps and trace.y == ys
+    assert trace.p == ps and list(trace.y) == ys
     assert repr(trace.checkpoints) == repr(checkpoints)
     assert trace.cum_payoff.cal.tobytes() == state.cum_payoff.cal.tobytes()
     assert repr(trace.cum_payoff.reg) == repr(state.cum_payoff.reg)
@@ -681,6 +738,18 @@ def test_sweep_slopes_on_synthetic_decay(monkeypatch):
     assert set(result.slopes) == {
         "calibration_rate", "average_regret", "recalibration_rate"
     }
+
+
+def test_pool_sweep_matches_the_serial_sweep(monkeypatch):
+    # Two workers take the uneven jobs longest first and give the rows and
+    # slopes of one worker, bit for bit.
+    base = _cfg(T=1, oracle="noisy_truth:0.2")
+    got = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RECAL_THREADS", threads)
+        result = sweep(base, [32, 64, 256], seeds=3)
+        got[threads] = (repr(result.rows), repr(result.slopes))
+    assert got["2"] == got["1"]
 
 
 def test_sweep_rejects_bad_inputs(monkeypatch):
