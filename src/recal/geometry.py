@@ -10,7 +10,6 @@ stream calibrated and no-regret simultaneously.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -114,29 +113,6 @@ class ForecastDistribution:
         if n == 2 and self.support[1][0] != self.support[0][0] + 1:
             raise ValueError("two-point support must use consecutive indices")
 
-    @classmethod
-    def pair(cls, j: int, w_lo: float, w_hi: float) -> "ForecastDistribution":
-        """The two-point distribution on (j, j+1), with the checks of
-        __post_init__ written out for two points; RecalibratorState.predict
-        wraps the oracle's mixtures this way."""
-        if w_lo < 0.0:
-            raise ValueError(f"negative weight {w_lo} at index {j}")
-        if w_hi < 0.0:
-            raise ValueError(f"negative weight {w_hi} at index {j + 1}")
-        total = w_lo + w_hi
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total}, expected 1")
-        self = object.__new__(cls)
-        object.__setattr__(self, "support", ((j, w_lo), (j + 1, w_hi)))
-        return self
-
-
-@functools.cache
-def point_mass(i: int) -> ForecastDistribution:
-    """The point mass at grid index i.  Built on first use and shared,
-    which is safe because distributions are immutable."""
-    return ForecastDistribution(((i, 1.0),))
-
 
 @dataclass(frozen=True, eq=False)
 class PayoffVector:
@@ -149,18 +125,16 @@ class PayoffVector:
         return float(np.abs(self.cal).sum())
 
 
-def add_payoff(cfg: GameConfig, support, q: float, y: int, cal, sq=None) -> float:
+def add_payoff(cfg: GameConfig, support, sq: float, y: int, cal) -> float:
     """Add the calibration block of one round's payoff into cal.
 
     support is a tuple of (index, weight) pairs; cal[i] grows by
-    w_i * (i/m - y).  Returns the scaled regret coordinate
-    sum_i w_i * (score(i/m, y) - score(q, y)) / lam.  sq is
-    score(q, y) when the caller already has it.
+    w_i * (i/m - y).  sq is score(q, y), the score of the round's quote
+    q.  Returns the scaled regret coordinate
+    sum_i w_i * (score(i/m, y) - sq) / lam.
     """
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0
-    if sq is None:
-        sq = score(cfg.rule, q, y)
     reg = 0.0
     for i, wi in support:
         cal[i] += wi * (grid[i] - y)
@@ -174,7 +148,7 @@ def payoff_vector(cfg: GameConfig, w: ForecastDistribution, q: float, y: int) ->
         if not 0 <= i <= cfg.m:
             raise ValueError(f"support index {i} outside grid 0..{cfg.m}")
     cal = np.zeros(cfg.m + 1)
-    reg = add_payoff(cfg, w.support, q, y, cal)
+    reg = add_payoff(cfg, w.support, score(cfg.rule, q, y), y, cal)
     return PayoffVector(cal, reg)
 
 

@@ -73,47 +73,33 @@ def resolved_m(cfg: ExperimentConfig) -> int:
 
 
 class LabelSource:
-    """Draws (or defers, when adversarial) the label sequence."""
+    """An iid Bernoulli or periodic label stream.
+
+    The stream keeps its own position: iid draws continue its generator
+    and a periodic pattern its phase, so consecutive generate calls give
+    the labels of one call for all their rounds.
+    """
 
     def __init__(self, kind: str, param, rng):
         self.kind = kind
         self.param = param
         self.rng = rng
+        if kind == "periodic":
+            self._pattern = itertools.cycle(param)
 
-    @property
-    def is_adversarial(self) -> bool:
-        return self.kind == "adversarial_greedy"
-
-    def generate(self, n: int, start: int = 0):
-        """The labels of rounds start+1 .. start+n, or None when adversarial.
-
-        iid draws continue the stream's generator, so calls for
-        consecutive blocks from start = 0 give the labels of one call for
-        all their rounds.
-        """
+    def generate(self, n: int):
+        """(ys, pis): the labels of the next n rounds and the
+        probabilities they were drawn with, for the truth oracles."""
         if self.kind == "iid_bernoulli":
-            return (self.rng.random(n) < self.param).astype(int).tolist()
-        if self.kind == "periodic":
-            return self._cycle(n, start)
-        return None
-
-    def pi_schedule(self, n: int, start: int = 0):
-        """Conditional label probabilities of the same rounds, for the
-        truth oracle."""
-        if self.kind == "iid_bernoulli":
-            return [self.param] * n
-        if self.kind == "periodic":
-            return [float(v) for v in self._cycle(n, start)]
-        return None
-
-    def _cycle(self, n: int, start: int) -> list:
-        """The periodic pattern over rounds start+1 .. start+n."""
-        pattern = self.param
-        k = start % len(pattern)
-        return ((pattern[k:] + pattern[:k]) * (n // len(pattern) + 1))[:n]
+            pi = self.param
+            return (self.rng.random(n) < pi).astype(int).tolist(), [pi] * n
+        ys = list(itertools.islice(self._pattern, n))
+        return ys, [float(y) for y in ys]
 
 
-def make_label_stream(spec: str, seed=None) -> LabelSource:
+def make_label_stream(spec: str, seed=None) -> LabelSource | None:
+    """The label stream of spec, or None for adversarial_greedy, whose
+    labels the round picks."""
     rng = np.random.default_rng(seed)
     kind, _, arg = spec.partition(":")
     if kind == "bernoulli":
@@ -133,7 +119,7 @@ def make_label_stream(spec: str, seed=None) -> LabelSource:
     if kind == "adversarial_greedy":
         if arg:
             raise ConfigError("adversarial_greedy takes no parameter")
-        return LabelSource(kind, None, rng)
+        return None
     raise ConfigError(f"unknown label stream {kind!r}")
 
 
@@ -145,7 +131,7 @@ class OracleSource:
         self.param = param
         self.rng = rng
 
-    def quotes(self, n: int, labels, pi_schedule):
+    def quotes(self, n: int, labels, pis):
         """The quotes of n rounds whose labels and label probabilities
         are given; noise draws continue the source's generator."""
         if self.kind == "constant":
@@ -155,9 +141,9 @@ class OracleSource:
             y = np.asarray(labels, dtype=float)
             return ((1.0 - 2.0 * beta) * y + beta).tolist()
         if self.kind == "truth":
-            return list(pi_schedule)
+            return list(pis)
         # noisy_truth
-        pi = np.asarray(pi_schedule, dtype=float)
+        pi = np.asarray(pis, dtype=float)
         noise = self.rng.normal(0.0, self.param, size=n)
         return np.clip(pi + noise, 0.0, 1.0).tolist()
 
@@ -278,9 +264,8 @@ class _PassthroughForecaster(PayoffLedger):
         return i, support
 
     def update(self, y: int) -> None:
-        # add_payoff reads q only to score it, and the score is passed
-        self.cum_reg += add_payoff(self.cfg, self._support, None, y, self._cal_view,
-                                   self._quote_scores[y])
+        self.cum_reg += add_payoff(self.cfg, self._support, self._quote_scores[y], y,
+                                   self._cal_view)
 
 
 class _MWForecaster(_PassthroughForecaster):
@@ -330,7 +315,7 @@ def _checked(cfg: ExperimentConfig):
     ss_labels, ss_oracle, ss_forecaster = np.random.SeedSequence(cfg.seed).spawn(3)
     labels_src = make_label_stream(cfg.labels, ss_labels)
     oracle_src = make_oracle(cfg.oracle, ss_oracle)
-    if labels_src.is_adversarial and oracle_src.kind != "constant":
+    if labels_src is None and oracle_src.kind != "constant":
         raise ConfigError(
             "adversarial_greedy labels are only defined against a constant oracle; "
             "other oracles would peek at labels chosen after their quotes")
@@ -342,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     gcfg, labels_src, oracle_src, ss_forecaster = _checked(cfg)
     rule, m = gcfg.rule, gcfg.m
     T = cfg.T
-    adversarial = labels_src.is_adversarial
+    adversarial = labels_src is None
 
     trace = Trace(config=cfg, m=m, game=gcfg)
     stats = BucketStats(m)
@@ -367,12 +352,14 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     ledger_l1 = 0.0
     for lo in range(0, T, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, T - lo)
-        ys = labels_src.generate(n, lo)
-        qs = oracle_src.quotes(n, ys, labels_src.pi_schedule(n, lo))
         if adversarial:
+            # Only a constant oracle quotes without the labels.
+            qs = oracle_src.quotes(n, None, None)
             labels, ys = itertools.repeat(None), []
         else:
-            labels = ys
+            labels, pis = labels_src.generate(n)
+            qs = oracle_src.quotes(n, labels, pis)
+            ys = labels
         for t1, q, y in zip(range(lo + 1, lo + n + 1), qs, labels):
             # The round's two quote scores, shared by the forecaster, the
             # adversary and stats.

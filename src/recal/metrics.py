@@ -35,20 +35,11 @@ class BucketStats:
         self.cum_forecaster_score += forecast_score
         self.cum_oracle_score += quote_score
 
-    def record(self, p: float, q: float, y: int, rule: ScoringRule,
-               q_score=None, grid_scores=None) -> "BucketStats":
-        """Absorb one round by its forecast p: the checked form of add.
-
-        A caller that already has the scores may pass them: q_score is
-        score(rule, q, y), and grid_scores is the table score(rule, i/m, y)
-        over the grid (GameConfig.score0 or score1), valid only when p
-        is a grid point.  They are the same floats the score calls give.
-        """
+    def record(self, p: float, q: float, y: int, rule: ScoringRule) -> "BucketStats":
+        """Absorb one round by its forecast p: the checked form of add."""
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y}")
-        i = nearest_grid_index(p, self.m)
-        self.add(i, y, score(rule, p, y) if grid_scores is None else grid_scores[i],
-                 score(rule, q, y) if q_score is None else q_score)
+        self.add(nearest_grid_index(p, self.m), y, score(rule, p, y), score(rule, q, y))
         return self
 
     def calibration_l1(self) -> float:

@@ -21,7 +21,6 @@ from .geometry import (
     HalfspaceParam,
     PayoffLedger,
     nearest_grid_index,
-    point_mass,
 )
 from .scoring import score_pair
 
@@ -236,25 +235,19 @@ class RecalibratorState(PayoffLedger):
         self._b = 0.0 if new_b < 0.0 else (1.0 if new_b > 1.0 else new_b)
         self.t += 1
 
-    def predict(self, q: float, quote_scores=None):
+    def predict(self, q: float):
         """Return (p, w): the sampled grid forecast and the distribution.
 
         The checked form of play: predict and observe must strictly
-        alternate.  quote_scores is the pair (score(q, 0), score(q, 1))
-        when the caller already has it; observe reuses it.
+        alternate.
         """
         if self._pending_q is not None:
             raise ProtocolError("predict called twice without observe")
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"forecast must lie in [0, 1], got {q}")
-        if quote_scores is None:
-            quote_scores = score_pair(self.cfg.rule, q)
-        i, support = self.play(q, quote_scores)
+        i, support = self.play(q, score_pair(self.cfg.rule, q))
         self._pending_q = q
-        if len(support) == 1:
-            return self.cfg.grid[i], point_mass(i)
-        (lo, w_lo), (_, w_hi) = support
-        return self.cfg.grid[i], ForecastDistribution.pair(lo, w_lo, w_hi)
+        return self.cfg.grid[i], ForecastDistribution(support)
 
     def observe(self, q: float, y: int) -> "RecalibratorState":
         """The checked form of update: q must be the pending predict's."""

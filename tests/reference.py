@@ -28,8 +28,9 @@ whole trace file as one string (the JSON one through the pure-Python
 indented encoder); the chunked trace writer must reproduce their bytes.
 approach (approach_with_cost without its count), oracle (one play of
 the recalibrator at any theta, K or not, with its evaluation count),
-lifted_max_coordinate (the MW baseline's lifted max as an l1 norm) and
-forecast_mean are small helpers that only tests call.
+lifted_max_coordinate (the MW baseline's lifted max as an l1 norm),
+point_mass (the distribution ((i, 1.0),)) and forecast_mean are small
+helpers that only tests call.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from recal.geometry import (
     add_payoff,
     dist_to_target,
     nearest_grid_index,
-    point_mass,
 )
 from recal.cli import TRACE_HEADER
 from recal.harness import adversary_label
@@ -66,6 +66,11 @@ from recal.recalibrator import (
     dual_set_diameter,
 )
 from recal.scoring import ScoringRule, score, score_pair
+
+
+def point_mass(i: int) -> ForecastDistribution:
+    """The point mass at grid index i."""
+    return ForecastDistribution(((i, 1.0),))
 
 
 def forecast_mean(w: ForecastDistribution, m: int) -> float:
@@ -478,7 +483,7 @@ class ScalarRecalibratorState:
 
         grid = self.cfg.grid
         eta = self._diameter / (GRAD_NORM_BOUND * math.sqrt(self.t))
-        reg = add_payoff(self.cfg, w.support, q, y, self._cum_cal)
+        reg = add_payoff(self.cfg, w.support, score(self.cfg.rule, q, y), y, self._cum_cal)
         a = self._a
         for i, wi in w.support:
             old = a[i]
@@ -510,7 +515,7 @@ def adversary_label_scan(w: ForecastDistribution, theta, q: float,
     best_d = -math.inf
     for y in (1, 0):
         cal = cum_payoff.cal.copy()
-        reg = cum_payoff.reg + add_payoff(cfg, w.support, q, y, cal)
+        reg = cum_payoff.reg + add_payoff(cfg, w.support, score(cfg.rule, q, y), y, cal)
         d = dist_to_target(cfg, PayoffVector(cal / (t + 1), reg / (t + 1)))
         if d > best_d:
             best_d = d

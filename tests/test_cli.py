@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 import recal.cli as cli
-from recal.geometry import game_config, point_mass
+from recal.geometry import game_config
 from recal.harness import ConfigError, ExperimentConfig, checkpoint_schedule, run_experiment
 from recal.metrics import default_regret_slack
 from recal.scoring import parse_rule
 
-from .reference import _json_text, _trace_csv_text, _trace_json_rows
+from .reference import _json_text, _trace_csv_text, _trace_json_rows, point_mass
 
 
 def _run_args(out, **kw):

@@ -1,7 +1,5 @@
 """Payoff vectors, the target set, distances, and the dual identity."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +14,11 @@ from recal.geometry import (
     min_grid_resolution,
     nearest_grid_index,
     payoff_vector,
-    point_mass,
     unchecked_game_config,
 )
 from recal.scoring import brier, log_clipped, score
 
-from .reference import forecast_mean, project_onto_K, round_half_up_index
+from .reference import forecast_mean, point_mass, project_onto_K, round_half_up_index
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +128,6 @@ def test_two_point_mean():
 def test_forecast_distribution_rejects(support):
     with pytest.raises(ValueError):
         ForecastDistribution(support)
-
-
-@pytest.mark.parametrize("j, w_lo, w_hi", [
-    (2, 0.25, 0.75), (0, 0.0, 1.0), (5, 1.0, 0.0), (3, 0.5, 0.5 + 5e-13),
-    (0, -0.1, 1.1), (4, 1.1, -0.1), (0, 0.6, 0.6), (1, 0.5, 0.5 - 2e-12),
-])
-def test_pair_makes_the_constructor_checks(j, w_lo, w_hi):
-    support = ((j, w_lo), (j + 1, w_hi))
-    try:
-        expected = ForecastDistribution(support)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            ForecastDistribution.pair(j, w_lo, w_hi)
-    else:
-        w = ForecastDistribution.pair(j, w_lo, w_hi)
-        assert type(w) is ForecastDistribution
-        assert w == expected and w.support == support
-
-
-def test_point_masses_are_shared():
-    assert point_mass(7) is point_mass(7)
-    assert point_mass(7).support == ((7, 1.0),)
 
 
 # ---------------------------------------------------------------------------

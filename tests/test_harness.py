@@ -22,7 +22,6 @@ from recal.geometry import (
     PayoffVector,
     dist_to_target,
     game_config,
-    point_mass,
 )
 from recal.harness import (
     ConfigError,
@@ -40,7 +39,12 @@ from recal.mw_recalibrator import lifted_dimension
 from recal.recalibrator import RecalibratorState, approach_with_cost, dual_set_diameter
 from recal.scoring import brier, score, score_pair
 
-from .reference import adversary_label_payoff, adversary_label_scan, lifted_max_coordinate
+from .reference import (
+    adversary_label_payoff,
+    adversary_label_scan,
+    lifted_max_coordinate,
+    point_mass,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +85,8 @@ def test_resolved_m_exactly_one_of_m_and_exponent():
 
 
 def test_bernoulli_labels_deterministic():
-    a = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)
-    b = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)
+    a = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
+    b = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
     assert a == b
     assert set(a) <= {0, 1}
 
@@ -94,22 +98,33 @@ def test_bernoulli_alias():
 
 
 def test_bernoulli_degenerate():
-    assert make_label_stream("iid_bernoulli:0", seed=0).generate(50) == [0] * 50
-    assert make_label_stream("iid_bernoulli:1", seed=0).generate(50) == [1] * 50
+    assert make_label_stream("iid_bernoulli:0", seed=0).generate(50)[0] == [0] * 50
+    assert make_label_stream("iid_bernoulli:1", seed=0).generate(50)[0] == [1] * 50
 
 
 def test_periodic_labels():
-    src = make_label_stream("periodic:01")
-    assert src.generate(5) == [0, 1, 0, 1, 0]
-    assert src.pi_schedule(3) == [0.0, 1.0, 0.0]
-    assert make_label_stream("periodic:0110").generate(6) == [0, 1, 1, 0, 0, 1]
+    assert make_label_stream("periodic:01").generate(5) == ([0, 1, 0, 1, 0],
+                                                          [0.0, 1.0, 0.0, 1.0, 0.0])
+    assert make_label_stream("periodic:0110").generate(6)[0] == [0, 1, 1, 0, 0, 1]
 
 
-def test_adversarial_defers_labels():
-    src = make_label_stream("adversarial_greedy")
-    assert src.is_adversarial
-    assert src.generate(10) is None
-    assert src.pi_schedule(10) is None
+def test_label_streams_keep_their_position():
+    # A stream continues where its last generate call stopped: uneven
+    # consecutive calls give the labels and label probabilities of one
+    # call for all their rounds.  adversarial_greedy has no stream, as
+    # the round picks its labels.
+    for spec in ("periodic:1", "periodic:011", "iid_bernoulli:0.3"):
+        for sizes in ((2, 5, 1), (1, 1023, 2)):
+            src = make_label_stream(spec, seed=5)
+            ys, pis = [], []
+            for n in sizes:
+                block_ys, block_pis = src.generate(n)
+                assert len(block_ys) == len(block_pis) == n
+                ys += block_ys
+                pis += block_pis
+            assert (ys, pis) == make_label_stream(spec, seed=5).generate(sum(sizes)), (
+                spec, sizes)
+    assert make_label_stream("adversarial_greedy") is None
 
 
 @pytest.mark.parametrize(
@@ -411,8 +426,8 @@ def test_blocks_reproduce_whole_T_generation(monkeypatch, labels, oracle):
             monkeypatch.setattr(harness, "BLOCK_ROUNDS", T)
             whole = run_experiment(cfg)
             _, labels_src, oracle_src, _ = harness._checked(cfg)
-            ys = labels_src.generate(T)
-            qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
+            ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
+            qs = oracle_src.quotes(T, ys, pis)
             assert [q.hex() for q in blocks.q] == [q.hex() for q in qs], (B, T)
             assert [q.hex() for q in whole.q] == [q.hex() for q in qs], (B, T)
             if ys is not None:
@@ -540,8 +555,8 @@ def _public_replay(cfg: ExperimentConfig):
     round's theta, whose counts are summed."""
     gcfg, labels_src, oracle_src, ss_forecaster = harness._checked(cfg)
     m, rule, T = gcfg.m, gcfg.rule, cfg.T
-    ys = labels_src.generate(T)
-    qs = oracle_src.quotes(T, ys, labels_src.pi_schedule(T))
+    ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
+    qs = oracle_src.quotes(T, ys, pis)
     state = RecalibratorState(gcfg, np.random.default_rng(ss_forecaster))
     stats = BucketStats(m)
     delta = default_regret_slack(rule, m)
@@ -608,6 +623,7 @@ def test_passthrough_truth_on_grid_has_zero_regret():
     [dict(T=0), dict(forecaster="magic"), dict(seed=-1), dict(m=0),
      dict(m=2), dict(labels="adversarial_greedy", oracle="clairvoyant:0.2"),
      dict(labels="adversarial_greedy", oracle="truth"),
+     dict(labels="adversarial_greedy", oracle="noisy_truth:0.1"),
      dict(forecaster="mw", T=6, m=8), dict(T=10.5), dict(T=True), dict(m=8.0),
      dict(seed=1.5), dict(seed=True), dict(oracle="noisy_truth:nan"),
      dict(rule=None), dict(oracle=None), dict(labels=3),

@@ -19,7 +19,6 @@ from recal.geometry import (
     add_payoff,
     game_config,
     payoff_vector,
-    point_mass,
     unchecked_game_config,
 )
 from recal.metrics import BucketStats
@@ -33,7 +32,7 @@ from recal.recalibrator import (
     observe,
     predict,
 )
-from recal.scoring import brier, log_clipped, score_pair
+from recal.scoring import brier, log_clipped, score, score_pair
 
 from .reference import (
     ScalarRecalibratorState,
@@ -43,6 +42,7 @@ from .reference import (
     oracle,
     ogd_learning_rate,
     ogd_step,
+    point_mass,
 )
 
 
@@ -492,8 +492,9 @@ def test_oracle_counters_match_the_scan():
 
 
 def _play_pair(cfg, T, seed):
-    """Play RecalibratorState through the round loop's calls (shared quote
-    scores) and ScalarRecalibratorState through the plain ones."""
+    """Play RecalibratorState through the round loop's calls (play with
+    shared quote scores, BucketStats.add, update) and
+    ScalarRecalibratorState through the checked ones."""
     rng = np.random.default_rng(seed)
     fast, slow = RecalibratorState(cfg, seed), ScalarRecalibratorState(cfg, seed)
     fast_stats, slow_stats = BucketStats(cfg.m), BucketStats(cfg.m)
@@ -503,13 +504,13 @@ def _play_pair(cfg, T, seed):
         y = int(rng.random() < 0.5)
         q = float(rng.random()) if t % 3 == 0 else 0.2 + 0.6 * y
         quote_scores = score_pair(cfg.rule, q)
-        p, w = fast.predict(q, quote_scores)
+        i, support = fast.play(q, quote_scores)
         p_ref, w_ref = slow.predict(q)
-        assert (p, w.support) == (p_ref, w_ref.support), t
-        mixtures += len(w.support) == 2
-        fast_stats.record(p, q, y, cfg.rule, quote_scores[y], tables[y])
+        assert (cfg.grid[i], support) == (p_ref, w_ref.support), t
+        mixtures += len(support) == 2
+        fast_stats.add(i, y, tables[y][i], quote_scores[y])
         slow_stats.record(p_ref, q, y, cfg.rule)
-        fast.observe(q, y)
+        fast.update(y)
         slow.observe(q, y)
         assert fast._a == slow._a and fast._b == slow._b and fast._nnz == slow._nnz
     return fast, slow, fast_stats, slow_stats, mixtures
@@ -540,7 +541,7 @@ def test_fused_observe_matches_add_payoff_bitwise():
             q = float(rng.random())
             y = int(rng.integers(0, 2))
             _, w = state.predict(q)
-            reg += add_payoff(cfg, w.support, q, y, cal)
+            reg += add_payoff(cfg, w.support, score(rule, q, y), y, cal)
             state.observe(q, y)
             assert state.cum_payoff.reg == reg
         assert np.array_equal(state.cum_payoff.cal, cal)
