@@ -240,8 +240,11 @@ def cmd_run(args) -> int:
             "delta": default_regret_slack(cfg.rule, trace.m),
         },
         "final": asdict(final),
+        "round": trace.round,
         "wall_time_s": trace.wall_time,
     }
+    if trace.oracle is not None:
+        summary["oracle"] = trace.oracle
     summary_path = os.path.join(out_dir, "summary.json")
     _atomic_write(summary_path, [_json_text(summary)])
     print(f"T={exp.T} m={trace.m} recal_rate={final.recalibration_rate:.6g} "

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import compiled
 from .geometry import (
     GameConfig,
     PayoffLedger,
@@ -25,7 +26,7 @@ from .geometry import (
 )
 from .metrics import BucketStats, default_regret_slack
 from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
-from .recalibrator import RecalibratorState
+from .recalibrator import ORACLE_COUNTERS, RecalibratorState
 from .scoring import parse_rule, score_pair
 
 FORECASTERS = ("approach", "mw", "passthrough")
@@ -230,7 +231,9 @@ class Trace:
     """A run's rounds and checkpoints.
 
     q is an array('d') and y an array('b'), 8 and 1 bytes a round; p is
-    a list of the grid's own floats, 8 bytes of pointer a round.
+    a list of the grid's own floats, 8 bytes of pointer a round.  round
+    says which round played the run, "compiled" or "python", and oracle
+    holds an approach run's oracle counters by name.
     """
 
     config: ExperimentConfig
@@ -243,6 +246,8 @@ class Trace:
     cum_payoff: PayoffVector | None = None
     wall_time: float = 0.0
     game: GameConfig | None = None
+    round: str = "python"
+    oracle: dict | None = None
 
     @property
     def final(self) -> CheckpointMetrics:
@@ -342,6 +347,12 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         forecaster = _MWForecaster(gcfg, T, rng)
     else:
         forecaster = _PassthroughForecaster(gcfg)
+    # Non-adversarial approach rounds are played by the compiled round
+    # when it loads, a stretch at a time; it brings the forecaster and
+    # stats up to date at each checkpoint.
+    fn = compiled.library() if cfg.forecaster == "approach" and not adversarial else None
+    kernel = None if fn is None else compiled.ApproachRound(fn, forecaster, stats)
+    played = array("i", bytes(4 * BLOCK_ROUNDS))  # the kernel's grid indices of a block
 
     qs_out, ps, ys_out = trace.q, trace.p, trace.y
     grid = gcfg.grid
@@ -350,6 +361,13 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     # The greedy adversary reads the live ledger and carries its l1 norm.
     ledger = forecaster.ledger
     ledger_l1 = 0.0
+
+    def checkpoint(t1: int) -> None:
+        cum = forecaster.cum_payoff
+        trace.checkpoints.append(CheckpointMetrics(
+            t1, *stats.rates(delta),
+            dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+
     for lo in range(0, T, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, T - lo)
         if adversarial:
@@ -360,6 +378,22 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
             labels, pis = labels_src.generate(n)
             qs = oracle_src.quotes(n, labels, pis)
             ys = labels
+        if kernel is not None:
+            # Labels are 0 or 1, so bytes() packs them for array('b') in
+            # one C loop; fromlist would check each item as a small int.
+            qs_out.fromlist(qs)
+            ys_out.frombytes(bytes(ys))
+            t1 = lo
+            while t1 < lo + n:
+                stop = min(lo + n, next_cp or T)
+                kernel.run(qs_out, ys_out, t1, stop, played, t1 - lo)
+                t1 = stop
+                if t1 == next_cp:
+                    kernel.store()
+                    checkpoint(t1)
+                    next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
+            ps.extend([grid[i] for i in played[:n]])
+            continue
         for t1, q, y in zip(range(lo + 1, lo + n + 1), qs, labels):
             # The round's two quote scores, shared by the forecaster, the
             # adversary and stats.
@@ -373,18 +407,16 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
             add(i, y, score_tables[y][i], quote_scores[y])
             update(y)
             if t1 == next_cp:
-                cum = forecaster.cum_payoff
-                trace.checkpoints.append(CheckpointMetrics(
-                    t1, *stats.rates(delta),
-                    dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
-                next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
-        # Labels are 0 or 1, so bytes() packs them for array('b') in one
-        # C loop; fromlist would check each item as a small int.
+                checkpoint(t1)
+                next_cp = next(schedule, 0)
         qs_out.fromlist(qs)
         ys_out.frombytes(bytes(ys))
 
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
+    trace.round = "python" if kernel is None else "compiled"
+    if cfg.forecaster == "approach":
+        trace.oracle = {name: getattr(forecaster, name) for name in ORACLE_COUNTERS}
     trace.wall_time = time.perf_counter() - t_start
     return trace
 
@@ -489,6 +521,8 @@ def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
     jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
+        if base.forecaster == "approach":
+            compiled.library()  # built here, so forked workers never build it
         # Imported here: a run that never sweeps does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 

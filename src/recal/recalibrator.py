@@ -29,6 +29,9 @@ GRAD_NORM_BOUND = math.sqrt(2.0)
 # Mixture weights degenerate below this; fall back to a point mass.
 DEGENERATE_DELTA = 1e-12
 
+# The counts of RecalibratorState's oracle work, by attribute name.
+ORACLE_COUNTERS = ("f_evals", "mixture_rounds", "endpoint_answers", "degenerate_fallbacks")
+
 
 class ProtocolError(RuntimeError):
     """predict/observe called out of turn or with mismatched inputs."""

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from recal import harness
+from recal import compiled, harness
 from recal.cli import _trace_blocks
 from recal.cli import main as cli_main
 from recal.geometry import (
@@ -524,11 +524,8 @@ def test_sweep_rows_are_pinned(tmp_path, monkeypatch):
             == "0e38391e9d0805d5612459f36d97d40a895ec4fef817f513e15d635c03708587")
 
 
-def test_an_approach_round_is_flat():
-    # a round calls score_pair, play, BucketStats.add and update, and from
-    # play only the sampler (mixture rounds) and nearest_grid_index (theta
-    # = 0, the first round): no call builds a distribution object
-    T = 256
+def _calls(cfg: ExperimentConfig) -> Counter:
+    """(caller, callee) counts of the Python calls that run_experiment(cfg) makes."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -537,14 +534,32 @@ def test_an_approach_round_is_flat():
 
     sys.setprofile(profile)
     try:
-        run_experiment(_cfg(T=T, m=64))
+        run_experiment(cfg)
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_an_approach_round_is_flat(monkeypatch):
+    # the Python round calls score_pair, play, BucketStats.add and update,
+    # and from play only the sampler (mixture rounds) and
+    # nearest_grid_index (theta = 0, the first round): no call builds a
+    # distribution object
+    T = 256
+    with monkeypatch.context() as mp:
+        mp.setattr(compiled, "library", lambda: None)
+        calls = _calls(_cfg(T=T, m=64))
     assert {k for k, n in calls.items() if n >= T and k[0] == "run_experiment"} == {
         ("run_experiment", f) for f in ("score_pair", "play", "add", "update")}
     inner = {k: n for k, n in calls.items() if k[0] in ("play", "update", "add")}
     assert set(inner) == {("play", "_uniform"), ("play", "nearest_grid_index")}, inner
     assert inner["play", "nearest_grid_index"] < 5
+    # the compiled round, where it loads, makes none of those calls a round
+    if compiled.library() is not None:
+        calls = _calls(_cfg(T=T, m=64))
+        for f in ("play", "add", "update"):
+            assert calls["run_experiment", f] == 0, f
+        assert calls["run_experiment", "score_pair"] + calls["run", "score_pair"] < T / 8
 
 
 def _public_replay(cfg: ExperimentConfig):
