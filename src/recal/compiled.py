@@ -1,14 +1,14 @@
-"""The compiled approach round: _round.c, built on first use and loaded
-through ctypes.
+"""The compiled round: _round.c, built on first use and loaded through
+ctypes.
 
 load(cache_dir, cc) compiles _round.c with cc into cache_dir, under a
 name keyed by the crc32 of the source and the flags, unless it is there
-already, and gives its recal_approach function, or None when the
-compiler is missing or the build or the load fails.  library() is
-load() into the package's __pycache__ with cc, memoized per process.
-ApproachRound binds a RecalibratorState and a BucketStats to the
-function, which then plays their rounds bit for bit as the Python round
-does.
+already, and gives its recal_round function, or None when the compiler
+is missing or the build or the load fails.  library() is load() into
+the package's __pycache__ with cc, memoized per process.  Round binds
+an approach or passthrough forecaster and its BucketStats to the
+function, which then plays their rounds, the greedy adversary's
+included, bit for bit as the Python round does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .geometry import UNIFORM_BLOCK
-from .recalibrator import GRAD_NORM_BOUND, ORACLE_COUNTERS
+from .recalibrator import GRAD_NORM_BOUND, ORACLE_COUNTERS, RecalibratorState
 from .scoring import score_pair
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_round.c")
@@ -30,21 +30,23 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # Python's p ** 2 in the last bit; no contraction: a fused multiply-add
 # rounds once where Python rounds twice.
 FLAGS = ("-O2", "-fno-builtin", "-ffp-contract=off", "-fPIC", "-shared")
-# recal_approach's stop code for a round that needs the next block of
+# recal_round's stop code for a round that needs the next block of
 # uniforms; any other nonzero code is a failed oracle invariant.
 NEED_UNIFORMS = 1
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
-class _Approach(ctypes.Structure):
-    """struct recal_approach of _round.c, field for field."""
+class _Round(ctypes.Structure):
+    """struct recal_round of _round.c, field for field."""
 
     _fields_ = [
-        ("m", _i64), ("log_rule", _i64),
-        ("gamma", _f64), ("lam", _f64), ("diameter", _f64), ("grad_norm_bound", _f64),
+        ("learn", _i64), ("adversarial", _i64), ("m", _i64), ("log_rule", _i64),
+        ("gamma", _f64), ("lam", _f64), ("cal_threshold", _f64), ("reg_threshold", _f64),
+        ("diameter", _f64), ("grad_norm_bound", _f64),
         ("grid", _ptr), ("score0", _ptr), ("score1", _ptr),
-        ("a", _ptr), ("cal", _ptr), ("b", _f64), ("cum_reg", _f64),
+        ("cal", _ptr), ("cum_reg", _f64), ("l1", _f64),
+        ("a", _ptr), ("b", _f64),
         ("t", _i64), ("nnz", _i64),
         *((name, _i64) for name in ORACLE_COUNTERS),
         ("uniforms", _ptr), ("next_uniform", _i64), ("n_uniforms", _i64),
@@ -55,7 +57,7 @@ class _Approach(ctypes.Structure):
 
 
 def load(cache_dir: str = CACHE_DIR, cc: str = "cc"):
-    """recal_approach, built into cache_dir with cc if it is not there
+    """recal_round, built into cache_dir with cc if it is not there
     yet, or None.  A build writes a temporary file and renames it, so
     processes that build at once each leave a whole library."""
     with open(SOURCE, "rb") as fh:
@@ -79,10 +81,10 @@ def load(cache_dir: str = CACHE_DIR, cc: str = "cc"):
                 os.unlink(tmp)
             return None
     try:
-        fn = ctypes.CDLL(path).recal_approach
+        fn = ctypes.CDLL(path).recal_round
     except (OSError, AttributeError):
         return None
-    fn.argtypes = (ctypes.POINTER(_Approach), _i64, _ptr, _ptr, _ptr)
+    fn.argtypes = (ctypes.POINTER(_Round), _i64, _ptr, _ptr, _ptr)
     fn.restype = _i64
     return fn
 
@@ -93,47 +95,64 @@ def library():
     return load()
 
 
-class ApproachRound:
-    """A RecalibratorState and a BucketStats whose rounds the compiled
-    function plays.
+class Round:
+    """A forecaster and a BucketStats whose rounds the compiled function
+    plays.
 
-    The constructor copies their state into arrays that the function
-    updates in place; the payoff ledger it updates where it lies.  store
-    copies the rest back, in O(m), so that between run and store the
-    two objects are stale.  The uniforms come from the state's own
-    generator, UNIFORM_BLOCK at a time, as its _uniform draws them.
+    learn says which forecaster: True binds a RecalibratorState, whose
+    rounds are approach rounds, and False any other PayoffLedger, which
+    is played as passthrough, theta held at 0.  With adversarial the
+    greedy adversary picks each label and the function writes it into
+    the label column; it carries the ledger's running l1 norm from 0,
+    so the ledger must be fresh.  The constructor copies the state into
+    arrays that the function updates in place; the payoff ledger it
+    updates where it lies.  store copies the rest back, in O(m), so
+    that between run and store the two objects are stale.  The uniforms
+    come from the forecaster's own generator, UNIFORM_BLOCK at a time,
+    as its _uniform draws them.
     """
 
-    def __init__(self, fn, state, stats):
-        cfg, rule = state.cfg, state.cfg.rule
-        self._fn, self._state, self._stats = fn, state, stats
+    def __init__(self, fn, forecaster, stats, *, learn: bool, adversarial: bool):
+        if learn != isinstance(forecaster, RecalibratorState):
+            raise TypeError(f"learn={learn} does not fit a {type(forecaster).__name__}")
+        if adversarial and stats.T:
+            raise ValueError("the adversary's running l1 norm starts at a fresh ledger")
+        cfg, rule = forecaster.cfg, forecaster.cfg.rule
+        self._fn, self._forecaster, self._stats, self._learn = fn, forecaster, stats, learn
         # The struct holds raw pointers into these arrays, which live as
         # long as self.
         self._tables = grid, score0, score1 = [np.array(t) for t in
                                                (cfg.grid, cfg.score0, cfg.score1)]
-        self._a = np.array(state._a, dtype=float)
         self._counts = np.array(stats.counts, dtype=np.int64)
         self._label_sums = np.array(stats.label_sums, dtype=np.int64)
         self._uniforms = np.zeros(UNIFORM_BLOCK)
-        left = state._uniforms[::-1]
+        left = forecaster._uniforms[::-1]
         self._uniforms[:len(left)] = left
-        self._s = _Approach(
-            m=cfg.m, log_rule=rule.kind == "log_clipped", gamma=rule.clip_gamma, lam=cfg.lam,
-            diameter=state._diameter, grad_norm_bound=GRAD_NORM_BOUND,
+        self._s = _Round(
+            learn=learn, adversarial=adversarial, m=cfg.m,
+            log_rule=rule.kind == "log_clipped", gamma=rule.clip_gamma, lam=cfg.lam,
+            cal_threshold=cfg.cal_threshold, reg_threshold=cfg.reg_threshold,
+            grad_norm_bound=GRAD_NORM_BOUND,
             grid=grid.ctypes.data, score0=score0.ctypes.data, score1=score1.ctypes.data,
-            a=self._a.ctypes.data, cal=state._cum_cal.ctypes.data, b=state._b,
-            cum_reg=state.cum_reg, t=state.t, nnz=state._nnz,
-            **{name: getattr(state, name) for name in ORACLE_COUNTERS},
+            cal=forecaster._cum_cal.ctypes.data, cum_reg=forecaster.cum_reg, l1=0.0,
             uniforms=self._uniforms.ctypes.data, next_uniform=0, n_uniforms=len(left),
             counts=self._counts.ctypes.data, label_sums=self._label_sums.ctypes.data,
             rounds=stats.T, cum_forecaster_score=stats.cum_forecaster_score,
             cum_oracle_score=stats.cum_oracle_score)
+        if learn:
+            self._a = np.array(forecaster._a, dtype=float)
+            s = self._s
+            s.a, s.b, s.diameter = self._a.ctypes.data, forecaster._b, forecaster._diameter
+            s.t, s.nnz = forecaster.t, forecaster._nnz
+            for name in ORACLE_COUNTERS:
+                setattr(s, name, getattr(forecaster, name))
         self._ref = ctypes.byref(self._s)
 
     def run(self, qs, ys, lo: int, hi: int, out, at: int) -> None:
         """Play rounds lo..hi-1 of the quote and label columns qs and ys
-        (an array('d') and an array('b')), writing their played grid
-        indices into out (an array('i')) from index at on."""
+        (an array('d') and an array('b'); in an adversarial run the
+        labels are written there), writing their played grid indices
+        into out (an array('i')) from index at on."""
         if (qs.typecode, ys.typecode, out.typecode, out.itemsize) != ("d", "b", "i", 4):
             raise TypeError("qs, ys and out must be array('d'), array('b') and a 4-byte array('i')")
         if not (0 <= lo <= hi <= min(len(qs), len(ys)) and 0 <= at <= len(out) - (hi - lo)):
@@ -145,24 +164,26 @@ class ApproachRound:
             lo += k
             at += k
             if s.stop == NEED_UNIFORMS:
-                self._uniforms[:] = self._state.rng.random(UNIFORM_BLOCK)
+                self._uniforms[:] = self._forecaster.rng.random(UNIFORM_BLOCK)
                 s.next_uniform, s.n_uniforms = 0, UNIFORM_BLOCK
             elif s.stop:
                 # The Python round raises the invariant's own error.
                 self.store()
-                self._state.play(qs[lo], score_pair(self._state.cfg.rule, qs[lo]))
+                self._forecaster.play(qs[lo], score_pair(self._forecaster.cfg.rule, qs[lo]))
                 raise RuntimeError(f"the compiled round stopped at round {lo + 1}, "
                                    "which the Python round plays")
 
     def store(self) -> None:
-        """Copy the played state back into the RecalibratorState and the
+        """Copy the played state back into the forecaster and the
         BucketStats."""
-        s, state, stats = self._s, self._state, self._stats
-        state._a = self._a.tolist()
-        state._b, state.cum_reg, state.t, state._nnz = s.b, s.cum_reg, s.t, s.nnz
-        for name in ORACLE_COUNTERS:
-            setattr(state, name, getattr(s, name))
-        state._uniforms = self._uniforms[s.next_uniform:s.n_uniforms][::-1].tolist()
+        s, forecaster, stats = self._s, self._forecaster, self._stats
+        forecaster.cum_reg = s.cum_reg
+        forecaster._uniforms = self._uniforms[s.next_uniform:s.n_uniforms][::-1].tolist()
+        if self._learn:
+            forecaster._a = self._a.tolist()
+            forecaster._b, forecaster.t, forecaster._nnz = s.b, s.t, s.nnz
+            for name in ORACLE_COUNTERS:
+                setattr(forecaster, name, getattr(s, name))
         stats.counts = self._counts.tolist()
         stats.label_sums = self._label_sums.tolist()
         stats.T = s.rounds

@@ -30,6 +30,9 @@ from .recalibrator import ORACLE_COUNTERS, RecalibratorState
 from .scoring import parse_rule, score_pair
 
 FORECASTERS = ("approach", "mw", "passthrough")
+# The forecasters whose rounds the compiled round plays when it loads;
+# mw's stay in Python.
+COMPILED_FORECASTERS = ("approach", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
 EXPONENT_HI = 2.0 / 5.0
 EXPONENT_TOL = 1e-3
@@ -183,6 +186,9 @@ def adversary_label(support, quote_scores, cal, reg: float, l1: float, t: int,
     pair (score(q, 0), score(q, 1)).  Each label's distance is
     dist_to_target's formula, with the changed entries' terms swapped
     in l1, so a round costs O(|support|).  Ties resolve to y = 1.
+
+    The compiled round plays the same formula, operation for operation,
+    in play_rounds of _round.c: a change here must be made there too.
     """
     grid = cfg.grid
     n = t + 1
@@ -347,11 +353,12 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         forecaster = _MWForecaster(gcfg, T, rng)
     else:
         forecaster = _PassthroughForecaster(gcfg)
-    # Non-adversarial approach rounds are played by the compiled round
-    # when it loads, a stretch at a time; it brings the forecaster and
-    # stats up to date at each checkpoint.
-    fn = compiled.library() if cfg.forecaster == "approach" and not adversarial else None
-    kernel = None if fn is None else compiled.ApproachRound(fn, forecaster, stats)
+    # The compiled round, when it loads, plays approach and passthrough
+    # rounds a stretch at a time; it brings the forecaster and stats up
+    # to date at each checkpoint.
+    fn = compiled.library() if cfg.forecaster in COMPILED_FORECASTERS else None
+    kernel = None if fn is None else compiled.Round(
+        fn, forecaster, stats, learn=cfg.forecaster == "approach", adversarial=adversarial)
     played = array("i", bytes(4 * BLOCK_ROUNDS))  # the kernel's grid indices of a block
 
     qs_out, ps, ys_out = trace.q, trace.p, trace.y
@@ -381,8 +388,9 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         if kernel is not None:
             # Labels are 0 or 1, so bytes() packs them for array('b') in
             # one C loop; fromlist would check each item as a small int.
+            # The adversary's labels the kernel writes in place.
             qs_out.fromlist(qs)
-            ys_out.frombytes(bytes(ys))
+            ys_out.frombytes(bytes(n) if adversarial else bytes(ys))
             t1 = lo
             while t1 < lo + n:
                 stop = min(lo + n, next_cp or T)
@@ -521,7 +529,7 @@ def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
     jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
-        if base.forecaster == "approach":
+        if base.forecaster in COMPILED_FORECASTERS:
             compiled.library()  # built here, so forked workers never build it
         # Imported here: a run that never sweeps does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -254,7 +254,9 @@ def test_running_l1_adversary_matches_scan(monkeypatch, forecaster, m):
     # loop carries equals the live ledger's l1, and the label equals the
     # copy-and-sum scan's wherever the scan's two distances differ by
     # more than 1e-12 (closer ties may break either way).  q is the
-    # constant quote of the run being played.
+    # constant quote of the run being played.  The Python round plays
+    # these runs, so that the adversary checked is harness's.
+    monkeypatch.setattr(compiled, "library", lambda: None)
     fast = harness.adversary_label
     seen = {"rounds": 0, "flips": 0}
 
@@ -316,10 +318,11 @@ _TRACED_RUNS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from layers import Tracer
-from recal import harness
+from recal import compiled, harness
 tracer = Tracer()
 tracer.install()
 T = int(sys.argv[2])
+compiled.library = lambda: None  # the Python round, whose adversary calls are seen
 harness.run_experiment(harness.ExperimentConfig(
     T=T, m=8, labels="adversarial_greedy", oracle="constant:0.5", seed=3))
 harness.run_experiment(harness.ExperimentConfig(
@@ -332,7 +335,9 @@ def test_bench_tracer_sees_adversary_and_mw_calls():
     # bench/layers.py wraps functions by their public names from outside
     # the package, so the names the round loop calls must be those: one
     # adversary call per adversarial round, one MW choose and update per
-    # mw round.  Run apart because the wrappers stay installed.
+    # mw round.  Run apart because the wrappers stay installed.  The
+    # adversarial run takes the Python round: the compiled round's
+    # adversary has no Python name to wrap.
     root = Path(harness.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
