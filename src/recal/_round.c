@@ -1,4 +1,4 @@
-/* The rounds of recal.harness.run_experiment, compiled.
+/* The rounds of recal.harness._PythonRound.run, compiled.
  * recal_round plays n consecutive rounds of an approach or passthrough run
  * in place: the quote's two scores (scoring.score_pair), the play, the
  * greedy adversary's label in an adversarial run (harness.adversary_label),

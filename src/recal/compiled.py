@@ -3,11 +3,11 @@ ctypes.
 
 load(cache_dir, cc) compiles _round.c with cc into cache_dir, under a
 name keyed by the crc32 of the source and the flags, unless it is there
-already, and gives its recal_round function, or None when the compiler
-is missing or the build or the load fails.  library() is load() into
-the package's __pycache__ with cc, memoized per process.  Round binds
-an approach or passthrough forecaster and its BucketStats to the
-function, which then plays their rounds, the greedy adversary's
+already, and gives its recal_round function, or None when the source or
+the compiler is missing or the build or the load fails.  library() is
+load() into the package's __pycache__ with cc, memoized per process.
+Round binds an approach or passthrough forecaster and its BucketStats
+to the function, which then plays their rounds, the greedy adversary's
 included, bit for bit as the Python round does.
 """
 
@@ -60,8 +60,11 @@ def load(cache_dir: str = CACHE_DIR, cc: str = "cc"):
     """recal_round, built into cache_dir with cc if it is not there
     yet, or None.  A build writes a temporary file and renames it, so
     processes that build at once each leave a whole library."""
-    with open(SOURCE, "rb") as fh:
-        key = zlib.crc32(" ".join((cc,) + FLAGS).encode(), zlib.crc32(fh.read()))
+    try:
+        with open(SOURCE, "rb") as fh:
+            key = zlib.crc32(" ".join((cc,) + FLAGS).encode(), zlib.crc32(fh.read()))
+    except OSError:  # a package built without its C source
+        return None
     path = os.path.join(cache_dir, f"_round.{key:08x}.so")
     if not os.path.exists(path):
         # Imported here: a run that finds the library built loads neither.
@@ -99,22 +102,20 @@ class Round:
     """A forecaster and a BucketStats whose rounds the compiled function
     plays.
 
-    learn says which forecaster: True binds a RecalibratorState, whose
-    rounds are approach rounds, and False any other PayoffLedger, which
-    is played as passthrough, theta held at 0.  With adversarial the
-    greedy adversary picks each label and the function writes it into
-    the label column; it carries the ledger's running l1 norm from 0,
-    so the ledger must be fresh.  The constructor copies the state into
-    arrays that the function updates in place; the payoff ledger it
-    updates where it lies.  store copies the rest back, in O(m), so
-    that between run and store the two objects are stale.  The uniforms
-    come from the forecaster's own generator, UNIFORM_BLOCK at a time,
-    as its _uniform draws them.
+    A RecalibratorState's rounds are approach rounds; any other
+    PayoffLedger is played as passthrough, theta held at 0.  With
+    adversarial the greedy adversary picks each label and the function
+    writes it into the label column; it carries the ledger's running l1
+    norm from 0, so the ledger must be fresh.  The constructor copies
+    the state into arrays that the function updates in place; the payoff
+    ledger it updates where it lies.  store copies the rest back, in
+    O(m), so that between run and store the two objects are stale.  The
+    uniforms come from the forecaster's own generator, UNIFORM_BLOCK at
+    a time, as its _uniform draws them.
     """
 
-    def __init__(self, fn, forecaster, stats, *, learn: bool, adversarial: bool):
-        if learn != isinstance(forecaster, RecalibratorState):
-            raise TypeError(f"learn={learn} does not fit a {type(forecaster).__name__}")
+    def __init__(self, fn, forecaster, stats, *, adversarial: bool):
+        learn = isinstance(forecaster, RecalibratorState)
         if adversarial and stats.T:
             raise ValueError("the adversary's running l1 norm starts at a fresh ledger")
         cfg, rule = forecaster.cfg, forecaster.cfg.rule

@@ -333,6 +333,39 @@ def _checked(cfg: ExperimentConfig):
     return gcfg, labels_src, oracle_src, ss_forecaster
 
 
+class _PythonRound:
+    """compiled.Round's run and store in Python: mw's round, the fallback
+    when the compiled round does not load, and its test oracle.  It plays
+    in place, so store has nothing to copy; against the adversary it
+    carries the ledger's l1 norm and writes each label into ys[r]."""
+
+    def __init__(self, forecaster, stats: BucketStats, adversarial: bool):
+        self.forecaster, self.stats, self.adversarial = forecaster, stats, adversarial
+        self.l1 = 0.0
+
+    def run(self, qs, ys, lo: int, hi: int, out, at: int) -> None:
+        f, cfg = self.forecaster, self.forecaster.cfg
+        play, update, add = f.play, f.update, self.stats.add
+        for r in range(lo, hi):
+            q = qs[r]
+            # The round's two quote scores, shared by the forecaster, the
+            # adversary and stats.
+            quote_scores = score_pair(cfg.rule, q)
+            i, support = play(q, quote_scores)
+            if self.adversarial:
+                y, self.l1 = adversary_label(support, quote_scores, f.ledger, f.cum_reg,
+                                             self.l1, r, cfg)
+                ys[r] = y
+            else:
+                y = ys[r]
+            out[at + r - lo] = i
+            add(i, y, cfg.score1[i] if y else cfg.score0[i], quote_scores[y])
+            update(y)
+
+    def store(self) -> None:
+        """Nothing to copy: run played in place."""
+
+
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     t_start = time.perf_counter()
     gcfg, labels_src, oracle_src, ss_forecaster = _checked(cfg)
@@ -353,76 +386,46 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         forecaster = _MWForecaster(gcfg, T, rng)
     else:
         forecaster = _PassthroughForecaster(gcfg)
-    # The compiled round, when it loads, plays approach and passthrough
-    # rounds a stretch at a time; it brings the forecaster and stats up
-    # to date at each checkpoint.
+    # The compiled round plays approach and passthrough rounds when it
+    # loads, and the Python round the rest.
     fn = compiled.library() if cfg.forecaster in COMPILED_FORECASTERS else None
-    kernel = None if fn is None else compiled.Round(
-        fn, forecaster, stats, learn=cfg.forecaster == "approach", adversarial=adversarial)
-    played = array("i", bytes(4 * BLOCK_ROUNDS))  # the kernel's grid indices of a block
+    rounds = (_PythonRound(forecaster, stats, adversarial) if fn is None
+              else compiled.Round(fn, forecaster, stats, adversarial=adversarial))
+    played = array("i", bytes(4 * BLOCK_ROUNDS))  # the grid indices of a block's rounds
 
     qs_out, ps, ys_out = trace.q, trace.p, trace.y
     grid = gcfg.grid
-    score_tables = (gcfg.score0, gcfg.score1)
-    play, update, add = forecaster.play, forecaster.update, stats.add
-    # The greedy adversary reads the live ledger and carries its l1 norm.
-    ledger = forecaster.ledger
-    ledger_l1 = 0.0
-
-    def checkpoint(t1: int) -> None:
-        cum = forecaster.cum_payoff
-        trace.checkpoints.append(CheckpointMetrics(
-            t1, *stats.rates(delta),
-            dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
 
     for lo in range(0, T, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, T - lo)
+        # Labels are 0 or 1, so bytes() packs them for array('b') in one
+        # C loop; fromlist would check each item as a small int.  The
+        # adversary's labels start at 0 and the round writes them in place.
         if adversarial:
             # Only a constant oracle quotes without the labels.
-            qs = oracle_src.quotes(n, None, None)
-            labels, ys = itertools.repeat(None), []
+            qs, ys = oracle_src.quotes(n, None, None), bytes(n)
         else:
             labels, pis = labels_src.generate(n)
-            qs = oracle_src.quotes(n, labels, pis)
-            ys = labels
-        if kernel is not None:
-            # Labels are 0 or 1, so bytes() packs them for array('b') in
-            # one C loop; fromlist would check each item as a small int.
-            # The adversary's labels the kernel writes in place.
-            qs_out.fromlist(qs)
-            ys_out.frombytes(bytes(n) if adversarial else bytes(ys))
-            t1 = lo
-            while t1 < lo + n:
-                stop = min(lo + n, next_cp or T)
-                kernel.run(qs_out, ys_out, t1, stop, played, t1 - lo)
-                t1 = stop
-                if t1 == next_cp:
-                    kernel.store()
-                    checkpoint(t1)
-                    next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
-            ps.extend([grid[i] for i in played[:n]])
-            continue
-        for t1, q, y in zip(range(lo + 1, lo + n + 1), qs, labels):
-            # The round's two quote scores, shared by the forecaster, the
-            # adversary and stats.
-            quote_scores = score_pair(rule, q)
-            i, support = play(q, quote_scores)
-            if adversarial:
-                y, ledger_l1 = adversary_label(support, quote_scores, ledger,
-                                               forecaster.cum_reg, ledger_l1, t1 - 1, gcfg)
-                ys.append(y)
-            ps.append(grid[i])
-            add(i, y, score_tables[y][i], quote_scores[y])
-            update(y)
-            if t1 == next_cp:
-                checkpoint(t1)
-                next_cp = next(schedule, 0)
+            qs, ys = oracle_src.quotes(n, labels, pis), bytes(labels)
         qs_out.fromlist(qs)
-        ys_out.frombytes(bytes(ys))
+        ys_out.frombytes(ys)
+        t1 = lo
+        while t1 < lo + n:
+            stop = min(lo + n, next_cp or T)
+            rounds.run(qs_out, ys_out, t1, stop, played, t1 - lo)
+            t1 = stop
+            if t1 == next_cp:
+                rounds.store()
+                cum = forecaster.cum_payoff
+                trace.checkpoints.append(CheckpointMetrics(
+                    t1, *stats.rates(delta),
+                    dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+                next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
+        ps.extend([grid[i] for i in played[:n]])
 
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
-    trace.round = "python" if kernel is None else "compiled"
+    trace.round = "python" if fn is None else "compiled"
     if cfg.forecaster == "approach":
         trace.oracle = {name: getattr(forecaster, name) for name in ORACLE_COUNTERS}
     trace.wall_time = time.perf_counter() - t_start

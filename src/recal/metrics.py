@@ -72,10 +72,6 @@ class BucketStats:
         cal_rate = max(0.0, l1 - 0.5 / self.m)
         return l1, cal_rate, regret, max(0.0, cal_rate, regret - delta / 2.0)
 
-    def calibration_rate(self) -> float:
-        """l1 calibration error minus the half-bucket slack, floored at 0."""
-        return self.rates(0.0)[1]
-
     def recalibration_rate(self, delta: float) -> float:
         """max of 0, the calibration rate, and regret beyond delta/2."""
         return self.rates(delta)[3]

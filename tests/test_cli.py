@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import recal.cli as cli
+from recal import compiled
 from recal.geometry import game_config
 from recal.harness import ConfigError, ExperimentConfig, checkpoint_schedule, run_experiment
 from recal.metrics import default_regret_slack
@@ -208,7 +209,11 @@ BENCH_DIGESTS = {
 }
 
 
-def test_bench_command_lines_write_the_pinned_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("round_", ["compiled", "python"])
+def test_bench_command_lines_write_the_pinned_bytes(tmp_path, monkeypatch, round_):
+    # both rounds write the pinned bytes; the python case is the fallback's
+    fn = compiled.library() if round_ == "compiled" else None
+    monkeypatch.setattr(compiled, "library", lambda: fn)
     path = Path(cli.__file__).resolve().parents[2] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)

@@ -166,6 +166,14 @@ def test_a_failed_invariant_raises_the_python_rounds_error(monkeypatch, table, i
         assert errors[0] == errors[1]
 
 
+def test_without_its_c_source_the_loader_gives_the_python_round(tmp_path, monkeypatch):
+    # a built package that lacks _round.c runs, on the fallback
+    monkeypatch.setattr(compiled, "SOURCE", str(tmp_path / "_round.c"))
+    assert compiled.load(str(tmp_path / "cache")) is None
+    monkeypatch.setattr(compiled, "library", lambda: compiled.load(str(tmp_path / "cache")))
+    assert run_experiment(ExperimentConfig(T=64, m=4)).round == "python"
+
+
 def test_without_a_compiler_the_python_round_writes_the_same_bytes(tmp_path, monkeypatch):
     fallback = compiled.load(str(tmp_path / "cache"), cc="no-such-compiler-recal")
     assert fallback is None
@@ -254,7 +262,7 @@ def test_the_c_source_builds_without_warnings(tmp_path):
 def test_approach_round_refuses_columns_it_would_overrun():
     gcfg = harness._checked(ExperimentConfig(T=8, m=8))[0]
     state, stats = harness.RecalibratorState(gcfg, 0), harness.BucketStats(8)
-    kernel = compiled.Round(compiled.library(), state, stats, learn=True, adversarial=False)
+    kernel = compiled.Round(compiled.library(), state, stats, adversarial=False)
     qs, ys, out = array("d", [0.5] * 4), array("b", [1] * 4), array("i", [0] * 4)
     with pytest.raises(ValueError):
         kernel.run(qs, ys, 0, 5, out, 0)
@@ -272,12 +280,7 @@ def test_round_refuses_a_mode_that_does_not_fit_its_forecaster():
     gcfg = harness._checked(ExperimentConfig(T=8, m=8))[0]
     fn = compiled.library()
     state, stats = harness.RecalibratorState(gcfg, 0), harness.BucketStats(8)
-    with pytest.raises(TypeError):
-        compiled.Round(fn, state, stats, learn=False, adversarial=False)
-    with pytest.raises(TypeError):
-        compiled.Round(fn, harness._PassthroughForecaster(gcfg), stats, learn=True,
-                       adversarial=False)
     # the adversary's running l1 norm starts from a fresh ledger
     stats.add(4, 1, gcfg.score1[4], 0.25)
     with pytest.raises(ValueError):
-        compiled.Round(fn, state, stats, learn=True, adversarial=True)
+        compiled.Round(fn, state, stats, adversarial=True)

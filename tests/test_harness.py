@@ -546,16 +546,16 @@ def _calls(cfg: ExperimentConfig) -> Counter:
 
 
 def test_an_approach_round_is_flat(monkeypatch):
-    # the Python round calls score_pair, play, BucketStats.add and update,
-    # and from play only the sampler (mixture rounds) and
+    # the Python round's run calls score_pair, play, BucketStats.add and
+    # update, and from play only the sampler (mixture rounds) and
     # nearest_grid_index (theta = 0, the first round): no call builds a
     # distribution object
     T = 256
     with monkeypatch.context() as mp:
         mp.setattr(compiled, "library", lambda: None)
         calls = _calls(_cfg(T=T, m=64))
-    assert {k for k, n in calls.items() if n >= T and k[0] == "run_experiment"} == {
-        ("run_experiment", f) for f in ("score_pair", "play", "add", "update")}
+    assert {k for k, n in calls.items() if n >= T and k[0] == "run"} == {
+        ("run", f) for f in ("score_pair", "play", "add", "update")}
     inner = {k: n for k, n in calls.items() if k[0] in ("play", "update", "add")}
     assert set(inner) == {("play", "_uniform"), ("play", "nearest_grid_index")}, inner
     assert inner["play", "nearest_grid_index"] < 5
@@ -563,7 +563,7 @@ def test_an_approach_round_is_flat(monkeypatch):
     if compiled.library() is not None:
         calls = _calls(_cfg(T=T, m=64))
         for f in ("play", "add", "update"):
-            assert calls["run_experiment", f] == 0, f
+            assert calls["run", f] == 0, f
         assert calls["run_experiment", "score_pair"] + calls["run", "score_pair"] < T / 8
 
 

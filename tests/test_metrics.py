@@ -34,7 +34,7 @@ def test_resolution_validated():
 
 def test_empty_stats_raise():
     stats = BucketStats(4)
-    for fn in (stats.calibration_l1, stats.calibration_rate, stats.average_regret,
+    for fn in (stats.calibration_l1, lambda: stats.rates(0.0), stats.average_regret,
                stats.recalibration_vector):
         with pytest.raises(ValueError):
             fn()
@@ -47,18 +47,18 @@ def test_empty_stats_raise():
 
 def test_calibration_rate_balanced_bucket():
     stats = _record_rounds(BucketStats(2), [(0.5, 0.5, y) for y in (0, 1, 0, 1)])
-    assert stats.calibration_rate() == 0.0
+    assert stats.rates(0.0)[1] == 0.0
 
 
 def test_calibration_rate_one_sided_bucket():
     stats = _record_rounds(BucketStats(2), [(0.5, 0.5, 1)] * 4)
     assert stats.calibration_l1() == pytest.approx(0.5, abs=1e-15)
-    assert stats.calibration_rate() == pytest.approx(0.25, abs=1e-15)
+    assert stats.rates(0.0)[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_calibration_rate_single_perfect_round():
     stats = _record_rounds(BucketStats(2), [(1.0, 1.0, 1)])
-    assert stats.calibration_rate() == 0.0
+    assert stats.rates(0.0)[1] == 0.0
 
 
 def test_average_regret_values():
@@ -84,7 +84,7 @@ def test_recalibration_rate_is_max_of_parts():
 def test_negative_regret_never_reduces_rate():
     stats = _record_rounds(BucketStats(2), [(0.0, 0.5, 0)] * 4)
     assert stats.average_regret() < 0.0
-    assert stats.recalibration_rate(0.0) == stats.calibration_rate()
+    assert stats.recalibration_rate(0.0) == stats.rates(0.0)[1]
 
 
 def test_recalibration_vector_frozen():
