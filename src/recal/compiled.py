@@ -6,9 +6,9 @@ name keyed by the crc32 of the source and the flags, unless it is there
 already, and gives its recal_round function, or None when the source or
 the compiler is missing or the build or the load fails.  library() is
 load() into the package's __pycache__ with cc, memoized per process.
-Round binds an approach or passthrough forecaster and its BucketStats
-to the function, which then plays their rounds, the greedy adversary's
-included, bit for bit as the Python round does.
+Round binds an approach, mw or passthrough forecaster and its
+BucketStats to the function, which then plays their rounds, the greedy
+adversary's included, bit for bit as the Python round does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 
 from .geometry import UNIFORM_BLOCK
+from .mw_recalibrator import MW_COUNTERS, MWState
 from .recalibrator import GRAD_NORM_BOUND, ORACLE_COUNTERS, RecalibratorState
 from .scoring import score_pair
 
@@ -33,6 +34,8 @@ FLAGS = ("-O2", "-fno-builtin", "-ffp-contract=off", "-fPIC", "-shared")
 # recal_round's stop code for a round that needs the next block of
 # uniforms; any other nonzero code is a failed oracle invariant.
 NEED_UNIFORMS = 1
+# The forecaster modes of _round.c.
+PASSTHROUGH, APPROACH, MW = 0, 1, 2
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
@@ -41,7 +44,7 @@ class _Round(ctypes.Structure):
     """struct recal_round of _round.c, field for field."""
 
     _fields_ = [
-        ("learn", _i64), ("adversarial", _i64), ("m", _i64), ("log_rule", _i64),
+        ("mode", _i64), ("adversarial", _i64), ("m", _i64), ("log_rule", _i64),
         ("gamma", _f64), ("lam", _f64), ("cal_threshold", _f64), ("reg_threshold", _f64),
         ("diameter", _f64), ("grad_norm_bound", _f64),
         ("grid", _ptr), ("score0", _ptr), ("score1", _ptr),
@@ -49,6 +52,8 @@ class _Round(ctypes.Structure):
         ("a", _ptr), ("b", _f64),
         ("t", _i64), ("nnz", _i64),
         *((name, _i64) for name in ORACLE_COUNTERS),
+        ("u", _ptr), ("rho", _ptr), ("log_a", _ptr), ("r", _f64), ("eta", _f64), ("h", _ptr),
+        ("choose_steps", _i64),
         ("uniforms", _ptr), ("next_uniform", _i64), ("n_uniforms", _i64),
         ("counts", _ptr), ("label_sums", _ptr), ("rounds", _i64),
         ("cum_forecaster_score", _f64), ("cum_oracle_score", _f64),
@@ -102,24 +107,33 @@ class Round:
     """A forecaster and a BucketStats whose rounds the compiled function
     plays.
 
-    A RecalibratorState's rounds are approach rounds; any other
+    A RecalibratorState's rounds are approach rounds, a forecaster
+    with an MWState as its state plays mw rounds, and any other
     PayoffLedger is played as passthrough, theta held at 0.  With
     adversarial the greedy adversary picks each label and the function
     writes it into the label column; it carries the ledger's running l1
     norm from 0, so the ledger must be fresh.  The constructor copies
-    the state into arrays that the function updates in place; the payoff
-    ledger it updates where it lies.  store copies the rest back, in
+    an approach state into arrays that the function updates in place;
+    the payoff ledger and an MWState's u, rho and log_a it updates where
+    they lie.  store copies the rest back, in
     O(m), so that between run and store the two objects are stale.  The
     uniforms come from the forecaster's own generator, UNIFORM_BLOCK at
     a time, as its _uniform draws them.
     """
 
     def __init__(self, fn, forecaster, stats, *, adversarial: bool):
-        learn = isinstance(forecaster, RecalibratorState)
+        if isinstance(forecaster, RecalibratorState):
+            mode, shared, names = APPROACH, forecaster, ("t",) + ORACLE_COUNTERS
+        elif isinstance(getattr(forecaster, "state", None), MWState):
+            mode, shared, names = MW, forecaster.state, ("r", "t") + MW_COUNTERS
+        else:
+            mode, shared, names = PASSTHROUGH, forecaster, ()
         if adversarial and stats.T:
             raise ValueError("the adversary's running l1 norm starts at a fresh ledger")
         cfg, rule = forecaster.cfg, forecaster.cfg.rule
-        self._fn, self._forecaster, self._stats, self._learn = fn, forecaster, stats, learn
+        self._fn, self._forecaster, self._stats, self._mode = fn, forecaster, stats, mode
+        # the struct's fields that store copies back into shared, by name
+        self._shared = shared, names
         # The struct holds raw pointers into these arrays, which live as
         # long as self.
         self._tables = grid, score0, score1 = [np.array(t) for t in
@@ -130,7 +144,7 @@ class Round:
         left = forecaster._uniforms[::-1]
         self._uniforms[:len(left)] = left
         self._s = _Round(
-            learn=learn, adversarial=adversarial, m=cfg.m,
+            mode=mode, adversarial=adversarial, m=cfg.m,
             log_rule=rule.kind == "log_clipped", gamma=rule.clip_gamma, lam=cfg.lam,
             cal_threshold=cfg.cal_threshold, reg_threshold=cfg.reg_threshold,
             grad_norm_bound=GRAD_NORM_BOUND,
@@ -140,13 +154,17 @@ class Round:
             counts=self._counts.ctypes.data, label_sums=self._label_sums.ctypes.data,
             rounds=stats.T, cum_forecaster_score=stats.cum_forecaster_score,
             cum_oracle_score=stats.cum_oracle_score)
-        if learn:
+        s = self._s
+        if mode == APPROACH:
             self._a = np.array(forecaster._a, dtype=float)
-            s = self._s
             s.a, s.b, s.diameter = self._a.ctypes.data, forecaster._b, forecaster._diameter
-            s.t, s.nnz = forecaster.t, forecaster._nnz
-            for name in ORACLE_COUNTERS:
-                setattr(s, name, getattr(forecaster, name))
+            s.nnz = forecaster._nnz
+        elif mode == MW:
+            self._h = np.empty(2 * (cfg.m + 1))  # mw_choose's two lines
+            s.u, s.rho, s.log_a = (v.ctypes.data for v in (shared.u, shared.rho, shared.log_a))
+            s.eta, s.h = shared.eta, self._h.ctypes.data
+        for name in names:
+            setattr(s, name, getattr(shared, name))
         self._ref = ctypes.byref(self._s)
 
     def run(self, qs, ys, lo: int, hi: int, out, at: int) -> None:
@@ -180,11 +198,12 @@ class Round:
         s, forecaster, stats = self._s, self._forecaster, self._stats
         forecaster.cum_reg = s.cum_reg
         forecaster._uniforms = self._uniforms[s.next_uniform:s.n_uniforms][::-1].tolist()
-        if self._learn:
+        if self._mode == APPROACH:
             forecaster._a = self._a.tolist()
-            forecaster._b, forecaster.t, forecaster._nnz = s.b, s.t, s.nnz
-            for name in ORACLE_COUNTERS:
-                setattr(forecaster, name, getattr(s, name))
+            forecaster._b, forecaster._nnz = s.b, s.nnz
+        shared, names = self._shared
+        for name in names:
+            setattr(shared, name, getattr(s, name))
         stats.counts = self._counts.tolist()
         stats.label_sums = self._label_sums.tolist()
         stats.T = s.rounds

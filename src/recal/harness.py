@@ -25,14 +25,11 @@ from .geometry import (
     nearest_grid_index,
 )
 from .metrics import BucketStats, default_regret_slack
-from .mw_recalibrator import lifted_dimension, mw_choose, mw_init, mw_update
+from .mw_recalibrator import MW_COUNTERS, lifted_dimension, mw_choose, mw_init, mw_update
 from .recalibrator import ORACLE_COUNTERS, RecalibratorState
 from .scoring import parse_rule, score_pair
 
 FORECASTERS = ("approach", "mw", "passthrough")
-# The forecasters whose rounds the compiled round plays when it loads;
-# mw's stay in Python.
-COMPILED_FORECASTERS = ("approach", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
 EXPONENT_HI = 2.0 / 5.0
 EXPONENT_TOL = 1e-3
@@ -239,7 +236,8 @@ class Trace:
     q is an array('d') and y an array('b'), 8 and 1 bytes a round; p is
     a list of the grid's own floats, 8 bytes of pointer a round.  round
     says which round played the run, "compiled" or "python", and oracle
-    holds an approach run's oracle counters by name.
+    holds an approach run's oracle counters, or an mw run's mw_choose
+    counters, by name.
     """
 
     config: ExperimentConfig
@@ -291,13 +289,8 @@ class _MWForecaster(_PassthroughForecaster):
     def play(self, q: float, quote_scores):
         self._support = support = mw_choose(self.state, q, quote_scores)
         self._quote_scores = quote_scores
-        u = self._uniform()
-        acc = 0.0
-        for i, wi in support:
-            acc += wi
-            if u < acc:
-                break
-        return i, support
+        # a uniform every round, point masses included
+        return support[0][0] if self._uniform() < support[0][1] else support[-1][0], support
 
     def update(self, y: int) -> None:
         super().update(y)
@@ -334,8 +327,8 @@ def _checked(cfg: ExperimentConfig):
 
 
 class _PythonRound:
-    """compiled.Round's run and store in Python: mw's round, the fallback
-    when the compiled round does not load, and its test oracle.  It plays
+    """compiled.Round's run and store in Python: the fallback when the
+    compiled round does not load, and its test oracle.  It plays
     in place, so store has nothing to copy; against the adversary it
     carries the ledger's l1 norm and writes each label into ys[r]."""
 
@@ -386,9 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         forecaster = _MWForecaster(gcfg, T, rng)
     else:
         forecaster = _PassthroughForecaster(gcfg)
-    # The compiled round plays approach and passthrough rounds when it
-    # loads, and the Python round the rest.
-    fn = compiled.library() if cfg.forecaster in COMPILED_FORECASTERS else None
+    fn = compiled.library()
     rounds = (_PythonRound(forecaster, stats, adversarial) if fn is None
               else compiled.Round(fn, forecaster, stats, adversarial=adversarial))
     played = array("i", bytes(4 * BLOCK_ROUNDS))  # the grid indices of a block's rounds
@@ -428,6 +419,8 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     trace.round = "python" if fn is None else "compiled"
     if cfg.forecaster == "approach":
         trace.oracle = {name: getattr(forecaster, name) for name in ORACLE_COUNTERS}
+    elif cfg.forecaster == "mw":
+        trace.oracle = {name: getattr(forecaster.state, name) for name in MW_COUNTERS}
     trace.wall_time = time.perf_counter() - t_start
     return trace
 
@@ -532,8 +525,7 @@ def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
     jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
-        if base.forecaster in COMPILED_FORECASTERS:
-            compiled.library()  # built here, so forked workers never build it
+        compiled.library()  # built here, so forked workers never build it
         # Imported here: a run that never sweeps does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 

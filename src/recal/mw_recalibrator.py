@@ -21,6 +21,10 @@ from .geometry import GameConfig, nearest_grid_index
 from .scoring import score, score_pair
 
 
+# MWState's counts of mw_choose's crossing-line steps and two-entry plays.
+MW_COUNTERS = ("choose_steps", "mixture_rounds")
+
+
 def lifted_dimension(m: int) -> int:
     return 2 ** (m + 1) + 1
 
@@ -36,7 +40,8 @@ class MWState:
     coordinate k is tanh(u_k).  rho = tanh(u) and log_a = log(2 cosh u)
     are carried beside u and refreshed by mw_update on the support of
     each play only.  Every field stays finite for any finite loss
-    history, so there is one numeric mode.  The arrays mw_choose reads
+    history, so there is one numeric mode.  MW_COUNTERS count
+    mw_choose's work.  The arrays mw_choose reads
     on every call (grid minus label, grid scores, the quote's score
     column) are built once here.
     """
@@ -47,6 +52,8 @@ class MWState:
     u: np.ndarray | None = None
     r: float = 0.0
     t: int = 0
+    choose_steps: int = 0
+    mixture_rounds: int = 0
     rho: np.ndarray = field(init=False, repr=False)
     log_a: np.ndarray = field(init=False, repr=False)
     _views: tuple = field(init=False, repr=False)
@@ -92,7 +99,9 @@ def _support(cfg: GameConfig, x):
 def _shares(state: MWState):
     """Shares of the lifted mass held by the sign patterns and by the
     regret coordinate: 1/(1+g) and g/(1+g) with g = exp(r) / prod_k
-    2 cosh(u_k), computed from whichever of g and 1/g does not overflow."""
+    2 cosh(u_k), computed from whichever of g and 1/g does not overflow.
+    mw_choose of _round.c computes the same, summing log_a in numpy's
+    pairwise order: a change here must be made there too."""
     g_log = state.r - float(state.log_a.sum())
     if g_log <= 0.0:
         g = math.exp(g_log)
@@ -150,7 +159,9 @@ def mw_choose(state: MWState, q: float, quote_scores=None) -> tuple:
     are taken.  The grid point nearest to q is played unless the
     optimum is strictly lower.  Memory is O(m), and so is each step.
     quote_scores is the pair (score(q, 0), score(q, 1)) when the caller
-    already has it.
+    already has it.  The steps taken add to state.choose_steps, and a
+    two-entry support to state.mixture_rounds.  mw_choose of _round.c
+    takes the same steps: a change here must be made there too.
     """
     n = state.cfg.m + 1
     w_pat, w_reg = _shares(state)
@@ -165,13 +176,14 @@ def mw_choose(state: MWState, q: float, quote_scores=None) -> tuple:
     elif d[b] >= 0.0:
         best = (b, b, 1.0)
     else:
-        for _ in range(n):
+        for steps in range(1, n + 1):
             lam = (h1[b] - h1[a]) / (d[a] - d[b])
             line = h1 + lam * d
             k = int(line.argmin())
             if not line[k] < min(line[a], line[b]):
                 i, j = min(a, b), max(a, b)
                 best = (i, j, d[j] / (d[j] - d[i]))
+                state.choose_steps += steps
                 break
             if d[k] > 0.0:
                 a = k
@@ -187,12 +199,15 @@ def mw_choose(state: MWState, q: float, quote_scores=None) -> tuple:
         i, j, t = j_star, j_star, 1.0
     # the entries that x[i] = t; x[j] += 1 - t leave in a zero vector
     play = ((i, t + (1.0 - t)),) if i == j else ((i, t), (j, 1.0 - t))
-    return tuple((k, float(w)) for k, w in play if w)
+    support = tuple((k, float(w)) for k, w in play if w)
+    state.mixture_rounds += len(support) == 2
+    return support
 
 
 def mw_update(state: MWState, support, sq: float, y: int) -> MWState:
     """Fold one round's loss into the log weights, on the play's
-    (index, weight) support only; sq is score(q, y)."""
+    (index, weight) support only; sq is score(q, y).  play_rounds of
+    _round.c makes the same update: a change here must be made there too."""
     cfg = state.cfg
     grid = cfg.grid
     score_y = cfg.score1 if y else cfg.score0

@@ -15,14 +15,18 @@ from recal import compiled, harness
 from recal.cli import main as cli_main
 from recal.geometry import UNIFORM_BLOCK, min_grid_resolution
 from recal.harness import ExperimentConfig, run_experiment
+from recal.mw_recalibrator import MW_COUNTERS
 from recal.recalibrator import ORACLE_COUNTERS
 from recal.scoring import parse_rule
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 PAIRS = [("iid_bernoulli:0.5", "clairvoyant:0.2"), ("periodic:0110", "truth"),
          ("iid_bernoulli:0.3", "noisy_truth:0.1"), ("periodic:011", "constant:0.37")]
+MW_PAIRS = [("periodic:0110", "clairvoyant:0.2"), ("iid_bernoulli:0.3", "noisy_truth:0.1"),
+            ("adversarial_greedy", "constant:0.4")]
 LEDGER = ("cum_reg", "_uniforms")
 STATE = ("_a", "_b", "_nnz", "t") + LEDGER + ORACLE_COUNTERS
+MW_STATE = ("r", "t") + MW_COUNTERS
 STATS = ("counts", "label_sums", "T", "cum_forecaster_score", "cum_oracle_score")
 QUOTES = (0.5, 0.3, 0.37, 0.0, 1.0)
 
@@ -41,7 +45,7 @@ def _run(monkeypatch, cfg, fn):
 
     with monkeypatch.context() as mp:
         mp.setattr(compiled, "library", lambda: fn)
-        for name in ("RecalibratorState", "_PassthroughForecaster"):
+        for name in ("RecalibratorState", "_PassthroughForecaster", "_MWForecaster"):
             mp.setattr(harness, name, keeping(getattr(harness, name)))
         trace = run_experiment(cfg)
     return trace, kept[0]
@@ -57,6 +61,11 @@ def _assert_same_run(a, b):
         assert repr(getattr(ta.stats, key)) == repr(getattr(tb.stats, key)), key
     for key in STATE if ta.config.forecaster == "approach" else LEDGER:
         assert repr(getattr(sa, key)) == repr(getattr(sb, key)), key
+    if ta.config.forecaster == "mw":
+        for key in ("u", "rho", "log_a"):
+            assert getattr(sa.state, key).tobytes() == getattr(sb.state, key).tobytes(), key
+        for key in MW_STATE:
+            assert repr(getattr(sa.state, key)) == repr(getattr(sb.state, key)), key
     assert ta.oracle == tb.oracle
     # the same uniforms were drawn from the forecaster's generator
     if sa.rng is not None or sb.rng is not None:
@@ -128,14 +137,48 @@ def test_compiled_adversarial_round_matches_the_python_round(monkeypatch, foreca
 
 
 @needs_cc
-@pytest.mark.parametrize("forecaster", ["approach", "passthrough"])
-def test_compiled_adversarial_round_matches_at_the_largest_grid(monkeypatch, forecaster):
-    cfg = ExperimentConfig(T=256, m=2**16, forecaster=forecaster, oracle="constant:0.5",
+@pytest.mark.parametrize("forecaster, T, m, q", [
+    pytest.param("approach", 256, 2**16, 0.5, id="approach"),
+    pytest.param("passthrough", 256, 2**16, 0.5, id="passthrough"),
+    # the largest grid that Tier-1 runs mw at; mw at 2^16 needs T >= 45,427
+    pytest.param("mw", 720, 1024, 0.4, id="mw"),
+])
+def test_compiled_adversarial_round_matches_at_the_largest_grid(monkeypatch, forecaster, T, m, q):
+    cfg = ExperimentConfig(T=T, m=m, forecaster=forecaster, oracle=f"constant:{q}",
                            labels="adversarial_greedy")
     fast = _run(monkeypatch, cfg, compiled.library())
     slow = _run(monkeypatch, cfg, None)
     assert (fast[0].round, slow[0].round) == ("compiled", "python")
     _assert_same_run(fast, slow)
+
+
+@needs_cc
+@pytest.mark.parametrize("rule", ["brier", "log:0.1", "log:0.05"])
+def test_compiled_mw_round_matches_the_python_round(monkeypatch, rule):
+    # _shares sums m+1 log weights in numpy's pairwise order, and these m
+    # take each of its branches: below 8 entries, exactly 8, a tail after
+    # the 8-wide blocks, exactly 128 and the split above 128; m below the
+    # rule's least grid is left out
+    fn = compiled.library()
+    assert fn is not None, "a C compiler is on PATH but the compiled round did not load"
+    mixtures, steps = [], []
+    for m in (3, 6, 7, 8, 31, 32, 127, 128, 129, 300):
+        if m < min_grid_resolution(parse_rule(rule)):
+            continue
+        for labels, oracle in MW_PAIRS:
+            for seed in (0, 1):
+                cfg = ExperimentConfig(T=3000, m=m, rule=rule, forecaster="mw", oracle=oracle,
+                                       labels=labels, seed=seed)
+                fast = _run(monkeypatch, cfg, fn)
+                slow = _run(monkeypatch, cfg, None)
+                assert (fast[0].round, slow[0].round) == ("compiled", "python")
+                _assert_same_run(fast, slow)
+                mixtures.append(slow[1].state.mixture_rounds)
+                steps.append(slow[1].state.choose_steps)
+    # some play mixes two grid points, and some round crosses more than
+    # one pair of lines
+    assert max(mixtures) > 0, mixtures
+    assert max(steps) > 3000, steps
 
 
 @needs_cc
@@ -197,9 +240,10 @@ def test_without_a_compiler_the_python_round_writes_the_same_bytes(tmp_path, mon
         assert outs["python", "oracle"] == outs["compiled", "oracle"]
 
 
-def test_summary_names_the_round_and_counts_only_approach_runs(tmp_path, monkeypatch):
-    # mw always takes the Python round; approach, adversarial too, and
-    # passthrough take the compiled one where it loads
+def test_summary_names_the_round_and_counts_approach_and_mw_runs(tmp_path, monkeypatch):
+    # every forecaster, adversarial approach too, takes the compiled round
+    # where it loads; approach writes its oracle counters and mw its
+    # mw_choose counters
     fn = compiled.library()
     for library in ((fn, None) if fn is not None else (None,)):
         for forecaster, labels in (("approach", "adversarial_greedy"),
@@ -212,21 +256,22 @@ def test_summary_names_the_round_and_counts_only_approach_runs(tmp_path, monkeyp
                                  "--labels", labels, "--oracle", oracle,
                                  "--out", str(out)]) == 0
             summary = json.loads((out / "summary.json").read_text())
-            expected = "python" if library is None or forecaster == "mw" else "compiled"
+            expected = "python" if library is None else "compiled"
             assert summary["round"] == expected, (forecaster, library)
-            assert ("oracle" in summary) == (forecaster == "approach")
+            counters = {"approach": ORACLE_COUNTERS, "mw": MW_COUNTERS}.get(forecaster, ())
+            assert set(summary.get("oracle", ())) == set(counters), forecaster
 
 
-@pytest.mark.parametrize("forecaster", harness.FORECASTERS)
-def test_a_sweep_loads_the_library_before_its_pool_forks_only_for_compiled_forecasters(
-        monkeypatch, forecaster):
+def test_a_sweep_loads_the_library_before_its_pool_forks(monkeypatch):
     # the parent's calls are counted; forked workers count in their own copy
     calls = []
     library = compiled.library
     monkeypatch.setattr(compiled, "library", lambda: calls.append(1) or library())
     monkeypatch.setenv("RECAL_THREADS", "2")
-    harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
-    assert len(calls) == (forecaster in harness.COMPILED_FORECASTERS), forecaster
+    for forecaster in harness.FORECASTERS:
+        calls.clear()
+        harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
+        assert len(calls) == 1, forecaster
 
 
 _BUILD = """

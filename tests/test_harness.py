@@ -322,7 +322,7 @@ from recal import compiled, harness
 tracer = Tracer()
 tracer.install()
 T = int(sys.argv[2])
-compiled.library = lambda: None  # the Python round, whose adversary calls are seen
+compiled.library = lambda: None  # the Python round, whose adversary and MW calls are seen
 harness.run_experiment(harness.ExperimentConfig(
     T=T, m=8, labels="adversarial_greedy", oracle="constant:0.5", seed=3))
 harness.run_experiment(harness.ExperimentConfig(
@@ -335,9 +335,9 @@ def test_bench_tracer_sees_adversary_and_mw_calls():
     # bench/layers.py wraps functions by their public names from outside
     # the package, so the names the round loop calls must be those: one
     # adversary call per adversarial round, one MW choose and update per
-    # mw round.  Run apart because the wrappers stay installed.  The
-    # adversarial run takes the Python round: the compiled round's
-    # adversary has no Python name to wrap.
+    # mw round.  Run apart because the wrappers stay installed.  Both runs
+    # take the Python round: the compiled round's adversary and MW calls
+    # have no Python name to wrap.
     root = Path(harness.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
