@@ -6,8 +6,8 @@ name keyed by the crc32 of the source and the flags, unless it is there
 already, and gives its recal_round function, or None when the source or
 the compiler is missing or the build or the load fails.  library() is
 load() into the package's __pycache__ with cc, memoized per process.
-Round binds an approach, mw or passthrough forecaster and its
-BucketStats to the function, which then plays their rounds, the greedy
+Round binds a forecaster in the mode that its caller names, and its
+BucketStats, to the function, which then plays their rounds, the greedy
 adversary's included, bit for bit as the Python round does.
 """
 
@@ -21,8 +21,8 @@ import zlib
 import numpy as np
 
 from .geometry import UNIFORM_BLOCK
-from .mw_recalibrator import MW_COUNTERS, MWState
-from .recalibrator import GRAD_NORM_BOUND, ORACLE_COUNTERS, RecalibratorState
+from .mw_recalibrator import MW_COUNTERS
+from .recalibrator import GRAD_NORM_BOUND, ORACLE_COUNTERS
 from .scoring import score_pair
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_round.c")
@@ -107,33 +107,27 @@ class Round:
     """A forecaster and a BucketStats whose rounds the compiled function
     plays.
 
-    A RecalibratorState's rounds are approach rounds, a forecaster
-    with an MWState as its state plays mw rounds, and any other
-    PayoffLedger is played as passthrough, theta held at 0.  With
-    adversarial the greedy adversary picks each label and the function
-    writes it into the label column; it carries the ledger's running l1
-    norm from 0, so the ledger must be fresh.  The constructor copies
-    an approach state into arrays that the function updates in place;
-    the payoff ledger and an MWState's u, rho and log_a it updates where
-    they lie.  store copies the rest back, in
-    O(m), so that between run and store the two objects are stale.  The
-    uniforms come from the forecaster's own generator, UNIFORM_BLOCK at
-    a time, as its _uniform draws them.
+    The caller names the mode, from harness.FORECASTERS: APPROACH plays
+    a RecalibratorState, MW a forecaster whose state is an MWState, and
+    PASSTHROUGH a PayoffLedger at theta 0; any other mode is refused.
+    With adversarial the greedy adversary picks each label and the
+    function writes it into the label column; it carries the ledger's
+    running l1 norm from 0, so the ledger must be fresh.  The constructor
+    copies an approach state into arrays that the function updates in
+    place; the payoff ledger and an MWState's u, rho and log_a it updates
+    where they lie.  store copies the rest back, in O(m), so that between
+    run and store the two objects are stale.  The uniforms come from the
+    forecaster's own generator, UNIFORM_BLOCK at a time, as its _uniform
+    draws them.
     """
 
-    def __init__(self, fn, forecaster, stats, *, adversarial: bool):
-        if isinstance(forecaster, RecalibratorState):
-            mode, shared, names = APPROACH, forecaster, ("t",) + ORACLE_COUNTERS
-        elif isinstance(getattr(forecaster, "state", None), MWState):
-            mode, shared, names = MW, forecaster.state, ("r", "t") + MW_COUNTERS
-        else:
-            mode, shared, names = PASSTHROUGH, forecaster, ()
+    def __init__(self, fn, mode, forecaster, stats, *, adversarial: bool):
+        if mode not in (PASSTHROUGH, APPROACH, MW):
+            raise ValueError(f"no compiled mode {mode!r}")
         if adversarial and stats.T:
             raise ValueError("the adversary's running l1 norm starts at a fresh ledger")
         cfg, rule = forecaster.cfg, forecaster.cfg.rule
         self._fn, self._forecaster, self._stats, self._mode = fn, forecaster, stats, mode
-        # the struct's fields that store copies back into shared, by name
-        self._shared = shared, names
         # The struct holds raw pointers into these arrays, which live as
         # long as self.
         self._tables = grid, score0, score1 = [np.array(t) for t in
@@ -154,15 +148,19 @@ class Round:
             counts=self._counts.ctypes.data, label_sums=self._label_sums.ctypes.data,
             rounds=stats.T, cum_forecaster_score=stats.cum_forecaster_score,
             cum_oracle_score=stats.cum_oracle_score)
-        s = self._s
+        # the struct's fields that store copies back into shared, by name
+        s, shared, names = self._s, forecaster, ()
         if mode == APPROACH:
+            names = ("t",) + ORACLE_COUNTERS
             self._a = np.array(forecaster._a, dtype=float)
             s.a, s.b, s.diameter = self._a.ctypes.data, forecaster._b, forecaster._diameter
             s.nnz = forecaster._nnz
         elif mode == MW:
+            shared, names = forecaster.state, ("r", "t") + MW_COUNTERS
             self._h = np.empty(2 * (cfg.m + 1))  # mw_choose's two lines
             s.u, s.rho, s.log_a = (v.ctypes.data for v in (shared.u, shared.rho, shared.log_a))
             s.eta, s.h = shared.eta, self._h.ctypes.data
+        self._shared = shared, names
         for name in names:
             setattr(s, name, getattr(shared, name))
         self._ref = ctypes.byref(self._s)

@@ -9,6 +9,7 @@ import operator
 import os
 import time
 from array import array
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,6 @@ from .mw_recalibrator import MW_COUNTERS, lifted_dimension, mw_choose, mw_init, 
 from .recalibrator import ORACLE_COUNTERS, RecalibratorState
 from .scoring import parse_rule, score_pair
 
-FORECASTERS = ("approach", "mw", "passthrough")
 EXPONENT_LO = 1.0 / 3.0
 EXPONENT_HI = 2.0 / 5.0
 EXPONENT_TOL = 1e-3
@@ -210,13 +210,8 @@ def adversary_label(support, quote_scores, cal, reg: float, l1: float, t: int,
 
 
 def checkpoint_schedule(T: int) -> list[int]:
-    cps = []
-    v = 1
-    while v < T:
-        cps.append(v)
-        v *= 2
-    cps.append(T)
-    return cps
+    """The powers of two below T, then T."""
+    return [1 << k for k in range((T - 1).bit_length())] + [T]
 
 
 @dataclass(frozen=True)
@@ -236,8 +231,7 @@ class Trace:
     q is an array('d') and y an array('b'), 8 and 1 bytes a round; p is
     a list of the grid's own floats, 8 bytes of pointer a round.  round
     says which round played the run, "compiled" or "python", and oracle
-    holds an approach run's oracle counters, or an mw run's mw_choose
-    counters, by name.
+    holds the counters that the forecaster's FORECASTERS entry names.
     """
 
     config: ExperimentConfig
@@ -297,18 +291,31 @@ class _MWForecaster(_PassthroughForecaster):
         mw_update(self.state, self._support, self._quote_scores[y], y)
 
 
+# Every forecaster, by name: make(GameConfig, T, rng) builds it, mode is
+# its compiled.Round mode (None: the Python round plays it), and
+# Trace.oracle reports the attributes in names of counters(forecaster).
+Forecaster = namedtuple("Forecaster", "make mode counters names")
+FORECASTERS = {
+    "approach": Forecaster(lambda g, T, rng: RecalibratorState(g, rng), compiled.APPROACH,
+                           lambda f: f, ORACLE_COUNTERS),
+    "mw": Forecaster(_MWForecaster, compiled.MW, operator.attrgetter("state"), MW_COUNTERS),
+    "passthrough": Forecaster(lambda g, T, rng: _PassthroughForecaster(g), compiled.PASSTHROUGH,
+                              None, ()),
+}
+
+
 def _checked(cfg: ExperimentConfig):
     """Every check of cfg, and what a run of it needs: its GameConfig,
     its label and quote sources, and the forecaster's seed sequence."""
     if not (_is_int(cfg.T) and cfg.T >= 1):
         raise ConfigError(f"T must be a positive integer, got {cfg.T!r}")
+    for key in ("forecaster", "rule", "oracle", "labels"):
+        if not isinstance(getattr(cfg, key), str):
+            raise ConfigError(f"{key} must be a string, got {getattr(cfg, key)!r}")
     if cfg.forecaster not in FORECASTERS:
         raise ConfigError(f"unknown forecaster {cfg.forecaster!r}")
     if not (_is_int(cfg.seed) and cfg.seed >= 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
-    for key in ("rule", "oracle", "labels"):
-        if not isinstance(getattr(cfg, key), str):
-            raise ConfigError(f"{key} must be a string, got {getattr(cfg, key)!r}")
     try:
         gcfg = game_config(resolved_m(cfg), parse_rule(cfg.rule))
     except ValueError as exc:
@@ -327,10 +334,11 @@ def _checked(cfg: ExperimentConfig):
 
 
 class _PythonRound:
-    """compiled.Round's run and store in Python: the fallback when the
-    compiled round does not load, and its test oracle.  It plays
-    in place, so store has nothing to copy; against the adversary it
-    carries the ledger's l1 norm and writes each label into ys[r]."""
+    """compiled.Round's run and store in Python: the round of a forecaster
+    with no compiled mode, the fallback when the library does not load,
+    and the test oracle.  It plays in place, so store has nothing to copy;
+    against the adversary it carries the ledger's l1 norm and writes each
+    label into ys[r]."""
 
     def __init__(self, forecaster, stats: BucketStats, adversarial: bool):
         self.forecaster, self.stats, self.adversarial = forecaster, stats, adversarial
@@ -373,15 +381,11 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     next_cp = next(schedule)
     rng = np.random.default_rng(ss_forecaster)
 
-    if cfg.forecaster == "approach":
-        forecaster = RecalibratorState(gcfg, rng)
-    elif cfg.forecaster == "mw":
-        forecaster = _MWForecaster(gcfg, T, rng)
-    else:
-        forecaster = _PassthroughForecaster(gcfg)
-    fn = compiled.library()
+    entry = FORECASTERS[cfg.forecaster]
+    forecaster = entry.make(gcfg, T, rng)
+    fn = None if entry.mode is None else compiled.library()
     rounds = (_PythonRound(forecaster, stats, adversarial) if fn is None
-              else compiled.Round(fn, forecaster, stats, adversarial=adversarial))
+              else compiled.Round(fn, entry.mode, forecaster, stats, adversarial=adversarial))
     played = array("i", bytes(4 * BLOCK_ROUNDS))  # the grid indices of a block's rounds
 
     qs_out, ps, ys_out = trace.q, trace.p, trace.y
@@ -417,10 +421,8 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
     trace.round = "python" if fn is None else "compiled"
-    if cfg.forecaster == "approach":
-        trace.oracle = {name: getattr(forecaster, name) for name in ORACLE_COUNTERS}
-    elif cfg.forecaster == "mw":
-        trace.oracle = {name: getattr(forecaster.state, name) for name in MW_COUNTERS}
+    if entry.names:
+        trace.oracle = {name: getattr(entry.counters(forecaster), name) for name in entry.names}
     trace.wall_time = time.perf_counter() - t_start
     return trace
 

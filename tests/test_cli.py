@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import recal.cli as cli
-from recal import compiled
+from recal import compiled, harness
 from recal.geometry import game_config
 from recal.harness import ConfigError, ExperimentConfig, checkpoint_schedule, run_experiment
 from recal.metrics import default_regret_slack
@@ -111,7 +111,7 @@ def test_run_json_format(tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
-FORECASTERS = ("approach", "passthrough", "mw")
+FORECASTERS = tuple(harness.FORECASTERS)
 LABEL_ORACLES = [(labels, oracle)
                  for labels in ("iid_bernoulli:0.5", "periodic:0110")
                  for oracle in ("constant:0.5", "clairvoyant:0.2", "truth", "noisy_truth:0.1")
@@ -280,6 +280,18 @@ def test_malformed_config_rejected(tmp_path):
     cfg_file.write_text(json.dumps([1, 2, 3]))
     assert cli.main(["run", "--config", str(cfg_file)]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_a_forecaster_that_is_not_a_string_is_a_config_error(tmp_path, capsys):
+    # a list is unhashable, so a bare lookup in the forecaster table would
+    # raise TypeError, a runtime error, instead of a config error
+    with pytest.raises(ConfigError, match="forecaster must be a string"):
+        run_experiment(ExperimentConfig(T=8, m=4, forecaster=["mw"]))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"forecaster": ["mw"], "T": 8, "m": 4}))
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "forecaster must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_run_type_checks_config_values(tmp_path):

@@ -35,18 +35,15 @@ def _run(monkeypatch, cfg, fn):
     """run_experiment(cfg) with the compiled round fn (None: the Python
     round), and the run's forecaster."""
     kept = []
+    entry = harness.FORECASTERS[cfg.forecaster]
 
-    def keeping(cls):
-        class Kept(cls):
-            def __init__(self, *args):
-                super().__init__(*args)
-                kept.append(self)
-        return Kept
+    def keeping(*args):
+        kept.append(entry.make(*args))
+        return kept[-1]
 
     with monkeypatch.context() as mp:
         mp.setattr(compiled, "library", lambda: fn)
-        for name in ("RecalibratorState", "_PassthroughForecaster", "_MWForecaster"):
-            mp.setattr(harness, name, keeping(getattr(harness, name)))
+        mp.setitem(harness.FORECASTERS, cfg.forecaster, entry._replace(make=keeping))
         trace = run_experiment(cfg)
     return trace, kept[0]
 
@@ -258,7 +255,7 @@ def test_summary_names_the_round_and_counts_approach_and_mw_runs(tmp_path, monke
             summary = json.loads((out / "summary.json").read_text())
             expected = "python" if library is None else "compiled"
             assert summary["round"] == expected, (forecaster, library)
-            counters = {"approach": ORACLE_COUNTERS, "mw": MW_COUNTERS}.get(forecaster, ())
+            counters = harness.FORECASTERS[forecaster].names
             assert set(summary.get("oracle", ())) == set(counters), forecaster
 
 
@@ -307,7 +304,8 @@ def test_the_c_source_builds_without_warnings(tmp_path):
 def test_approach_round_refuses_columns_it_would_overrun():
     gcfg = harness._checked(ExperimentConfig(T=8, m=8))[0]
     state, stats = harness.RecalibratorState(gcfg, 0), harness.BucketStats(8)
-    kernel = compiled.Round(compiled.library(), state, stats, adversarial=False)
+    kernel = compiled.Round(compiled.library(), compiled.APPROACH, state, stats,
+                            adversarial=False)
     qs, ys, out = array("d", [0.5] * 4), array("b", [1] * 4), array("i", [0] * 4)
     with pytest.raises(ValueError):
         kernel.run(qs, ys, 0, 5, out, 0)
@@ -325,7 +323,41 @@ def test_round_refuses_a_mode_that_does_not_fit_its_forecaster():
     gcfg = harness._checked(ExperimentConfig(T=8, m=8))[0]
     fn = compiled.library()
     state, stats = harness.RecalibratorState(gcfg, 0), harness.BucketStats(8)
+    # a mode that _round.c does not have, checked by a raise that holds
+    # under python -O
+    for mode in (3, -1, None, "approach"):
+        with pytest.raises(ValueError, match="no compiled mode"):
+            compiled.Round(fn, mode, state, stats, adversarial=False)
     # the adversary's running l1 norm starts from a fresh ledger
     stats.add(4, 1, gcfg.score1[4], 0.25)
     with pytest.raises(ValueError):
-        compiled.Round(fn, state, stats, adversarial=True)
+        compiled.Round(fn, compiled.APPROACH, state, stats, adversarial=True)
+
+
+class _LastPoint(harness._PassthroughForecaster):
+    """A passthrough subclass that plays grid point m whatever the quote."""
+
+    def play(self, q, quote_scores):
+        m = self.cfg.m
+        self._support, self._quote_scores = self.cfg.points[m], quote_scores
+        return m, self._support
+
+
+@needs_cc
+@pytest.mark.parametrize("labels", ["iid_bernoulli:0.5", "adversarial_greedy"])
+def test_a_forecaster_without_a_compiled_mode_plays_its_own_rounds_in_python(monkeypatch,
+                                                                             labels):
+    # The table's mode, not the class, picks the round: a PayoffLedger
+    # subclass with no mode is played by its own play, never as
+    # passthrough (which would play the grid point nearest 0.3, index 2).
+    assert compiled.library() is not None, "a C compiler is on PATH but the library did not load"
+    cfg = ExperimentConfig(T=300, m=8, oracle="constant:0.3", labels=labels)
+    for name in harness.FORECASTERS:
+        assert run_experiment(dataclasses.replace(cfg, forecaster=name)).round == "compiled"
+    monkeypatch.setitem(harness.FORECASTERS, "last_point",
+                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
+    trace = run_experiment(dataclasses.replace(cfg, forecaster="last_point"))
+    assert trace.round == "python"
+    assert trace.p == [1.0] * cfg.T
+    assert trace.oracle is None
+    assert trace.stats.counts == [0] * 8 + [cfg.T]
