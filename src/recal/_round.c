@@ -3,7 +3,8 @@
  * run in place: the quote's two scores (scoring.score_pair), the play, the
  * greedy adversary's label in an adversarial run (harness.adversary_label),
  * BucketStats.add and the update, in the Python round's order of
- * operations, so every sum comes out bit for bit the same.
+ * operations, so every sum comes out bit for bit the same.  Round r reads
+ * its quote from q[r] and writes the grid point it plays into p[r].
  *   - approach (mode RECAL_APPROACH): the halfspace oracle and its uniform
  *     (RecalibratorState.play), then the payoff and the OGD step
  *     (RecalibratorState.update).
@@ -180,7 +181,7 @@ static int mw_choose(const struct recal_round *s, double qr, double sq0, double 
 
 static inline __attribute__((always_inline)) int64_t
 play_rounds(struct recal_round *s, int64_t n, const double *q, int8_t *y,
-            int32_t *played, const int adversarial, const int mode) {
+            double *p, const int adversarial, const int mode) {
     const int learn = mode == RECAL_APPROACH, mw = mode == RECAL_MW;
     const int64_t m = s->m;
     const double *grid = s->grid, *s0 = s->score0, *s1 = s->score1;
@@ -280,7 +281,7 @@ play_rounds(struct recal_round *s, int64_t n, const double *q, int8_t *y,
             s->f_evals += evals, s->endpoint_answers += endpoint;
             s->degenerate_fallbacks += degenerate, s->mixture_rounds += mixture;
         }
-        played[r] = (int32_t)i;
+        p[r] = grid[i];
         const int64_t support[2] = {mixture ? lo : i, hi};
         const double weight[2] = {w_lo, w_hi};
 
@@ -359,13 +360,13 @@ play_rounds(struct recal_round *s, int64_t n, const double *q, int8_t *y,
 }
 
 int64_t recal_round(struct recal_round *s, int64_t n, const double *q, int8_t *y,
-                    int32_t *played) {
+                    double *p) {
     if (s->mode == RECAL_MW)
-        return s->adversarial ? play_rounds(s, n, q, y, played, 1, RECAL_MW)
-                              : play_rounds(s, n, q, y, played, 0, RECAL_MW);
+        return s->adversarial ? play_rounds(s, n, q, y, p, 1, RECAL_MW)
+                              : play_rounds(s, n, q, y, p, 0, RECAL_MW);
     if (s->mode == RECAL_APPROACH)
-        return s->adversarial ? play_rounds(s, n, q, y, played, 1, RECAL_APPROACH)
-                              : play_rounds(s, n, q, y, played, 0, RECAL_APPROACH);
-    return s->adversarial ? play_rounds(s, n, q, y, played, 1, RECAL_PASSTHROUGH)
-                          : play_rounds(s, n, q, y, played, 0, RECAL_PASSTHROUGH);
+        return s->adversarial ? play_rounds(s, n, q, y, p, 1, RECAL_APPROACH)
+                              : play_rounds(s, n, q, y, p, 0, RECAL_APPROACH);
+    return s->adversarial ? play_rounds(s, n, q, y, p, 1, RECAL_PASSTHROUGH)
+                          : play_rounds(s, n, q, y, p, 0, RECAL_PASSTHROUGH);
 }

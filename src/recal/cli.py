@@ -16,9 +16,9 @@ import string
 import sys
 import tempfile
 from dataclasses import MISSING, asdict, astuple, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from . import checks
+from . import checks, compiled
 from .harness import FORECASTERS, ConfigError, ExperimentConfig, run_experiment, sweep
 from .metrics import default_regret_slack
 
@@ -116,17 +116,13 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
     return ExperimentConfig(**{k: merged.get(k) for k in CONFIG_KEYS})
 
 
-def _json_items(values) -> list:
-    """Cell texts of values, a list or a block of a typed column, from the
-    C encoder: the same float, int and null text as the indented encoder
-    writes.  json refuses an array, so a block goes through tolist."""
-    if not isinstance(values, list):
-        values = values.tolist()
-    return json.dumps(values)[1:-1].split(", ")
-
-
-def _csv_items(values) -> list:
-    return list(map(repr, values))
+def _note_fallback(exp: ExperimentConfig) -> None:
+    """Say on stderr when the compiled round cannot play a forecaster that
+    has a compiled mode, so the Python round plays it."""
+    entry = FORECASTERS.get(exp.forecaster) if isinstance(exp.forecaster, str) else None
+    if entry is not None and entry.mode is not None and compiled.library() is None:
+        print(f"note: the compiled round did not load; the Python round plays "
+              f"{exp.forecaster}", file=sys.stderr)
 
 
 def _template(row: str) -> tuple:
@@ -153,8 +149,7 @@ class _TraceFormat(NamedTuple):
     plain and full are row templates whose fields 0-7 are the columns of
     TRACE_HEADER: plain has the four empty checkpoint cells baked in,
     full is the checkpoint row.  Every row starts with sep, which the
-    file's first row drops.  items turns a list or a column block into
-    cell texts.
+    file's first row drops.
     """
 
     head: str
@@ -162,16 +157,15 @@ class _TraceFormat(NamedTuple):
     plain: tuple
     full: tuple
     foot: str
-    items: Callable[[list], list]
 
 
 _FIELDS = tuple(f"{{{k}}}" for k in range(len(TRACE_HEADER)))
 _TRACE_FORMATS = {
     "csv": _TraceFormat(",".join(TRACE_HEADER) + "\n", "",
                         _template(",".join(_FIELDS[:4] + ("",) * 4) + "\n"),
-                        _template(",".join(_FIELDS) + "\n"), "", _csv_items),
+                        _template(",".join(_FIELDS) + "\n"), ""),
     "json": _TraceFormat("[\n", ",\n", _template(_json_row(_FIELDS[:4] + ("null",) * 4)),
-                         _template(_json_row(_FIELDS)), "\n]\n", _json_items),
+                         _template(_json_row(_FIELDS)), "\n]\n"),
 }
 # Rows per block of a trace file: a block's text and cell lists are all
 # the writer holds, whatever T is.
@@ -188,25 +182,28 @@ def _fill(template: tuple, cols: list):
 def _trace_blocks(trace, fmt: str):
     """The text of trace's file in format fmt, TRACE_BLOCK_ROWS rows at a time.
 
-    A block is built column by column: the format's encoder turns each
-    of q, p and y into cell texts, the rows between checkpoints take the
-    plain template and each checkpoint row the full one.
+    A block is built column by column: repr turns each of q, p and y into
+    cell texts, the rows between checkpoints take the plain template and
+    each checkpoint row the full one.
     """
     spec = _TRACE_FORMATS[fmt]
-    items = spec.items
     T = len(trace.p)
     yield spec.head
     for lo in range(0, T, TRACE_BLOCK_ROWS):
         hi = min(lo + TRACE_BLOCK_ROWS, T)
-        cols = [list(map(str, range(lo + 1, hi + 1))), items(trace.q[lo:hi]),
-                items(trace.p[lo:hi]), items(trace.y[lo:hi])]
+        # Every cell is an int or a finite float: q lies in [0, 1],
+        # p is a grid point and the metrics are bounded sums.  For those
+        # repr writes the same text as json.dumps, so one encoder serves
+        # both formats.
+        cols = [list(map(repr, col)) for col in
+                (range(lo + 1, hi + 1), trace.q[lo:hi], trace.p[lo:hi], trace.y[lo:hi])]
         runs = []
         start = 0
         for c in trace.checkpoints:
             if lo < c.t <= hi:
                 k = c.t - lo - 1
-                metrics = items([c.calib_l1, c.average_regret, c.recalibration_rate,
-                                 c.dist_to_target])
+                metrics = map(repr, (c.calib_l1, c.average_regret, c.recalibration_rate,
+                                     c.dist_to_target))
                 runs.append(_fill(spec.plain, [col[start:k] for col in cols]))
                 runs.append(_fill(spec.full, [col[k:k + 1] for col in cols]
                                   + [[cell] for cell in metrics]))
@@ -222,6 +219,7 @@ def cmd_run(args) -> int:
     fmt = _as_format(merged)
     out_dir = _as_str(merged, "out")
     exp = _experiment_config(merged)
+    _note_fallback(exp)
     trace = run_experiment(exp)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -257,10 +255,9 @@ def cmd_sweep(args) -> int:
     fmt = _as_format(merged)
     out_dir = _as_str(merged, "out")
     T_grid = _as_T_grid(merged)
-    # The library also takes a list of seeds; the CLI takes a count.
-    if isinstance(merged["seeds"], list):
-        raise ConfigError(f"seeds must be a count, got {merged['seeds']!r}")
-    result = sweep(_experiment_config(merged), T_grid, merged["seeds"])
+    exp = _experiment_config(merged)
+    _note_fallback(exp)
+    result = sweep(exp, T_grid, merged["seeds"])
 
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, f"sweep.{fmt}")

@@ -165,21 +165,20 @@ class Round:
             setattr(s, name, getattr(shared, name))
         self._ref = ctypes.byref(self._s)
 
-    def run(self, qs, ys, lo: int, hi: int, out, at: int) -> None:
-        """Play rounds lo..hi-1 of the quote and label columns qs and ys
-        (an array('d') and an array('b'); in an adversarial run the
-        labels are written there), writing their played grid indices
-        into out (an array('i')) from index at on."""
-        if (qs.typecode, ys.typecode, out.typecode, out.itemsize) != ("d", "b", "i", 4):
-            raise TypeError("qs, ys and out must be array('d'), array('b') and a 4-byte array('i')")
-        if not (0 <= lo <= hi <= min(len(qs), len(ys)) and 0 <= at <= len(out) - (hi - lo)):
-            raise ValueError(f"rounds {lo}..{hi} from {at} do not fit the columns")
+    def run(self, qs, ys, ps, lo: int, hi: int) -> None:
+        """Play rounds lo..hi-1 of the quote, label and play columns qs, ys
+        and ps (an array('d'), an array('b') and an array('d')): round r
+        reads qs[r], writes the grid point it plays into ps[r] and, in an
+        adversarial run, its label into ys[r].  The columns are checked
+        here because the function writes into their memory."""
+        if (qs.typecode, ys.typecode, ps.typecode) != ("d", "b", "d"):
+            raise TypeError("qs, ys and ps must be array('d'), array('b') and array('d')")
+        if not 0 <= lo <= hi <= min(len(qs), len(ys), len(ps)):
+            raise ValueError(f"rounds {lo}..{hi} do not fit the columns")
         fn, ref, s = self._fn, self._ref, self._s
-        q_addr, y_addr, out_addr = qs.buffer_info()[0], ys.buffer_info()[0], out.buffer_info()[0]
+        q_addr, y_addr, p_addr = qs.buffer_info()[0], ys.buffer_info()[0], ps.buffer_info()[0]
         while lo < hi:
-            k = fn(ref, hi - lo, q_addr + 8 * lo, y_addr + lo, out_addr + 4 * at)
-            lo += k
-            at += k
+            lo += fn(ref, hi - lo, q_addr + 8 * lo, y_addr + lo, p_addr + 8 * lo)
             if s.stop == NEED_UNIFORMS:
                 self._uniforms[:] = self._forecaster.rng.random(UNIFORM_BLOCK)
                 s.next_uniform, s.n_uniforms = 0, UNIFORM_BLOCK

@@ -228,16 +228,17 @@ class CheckpointMetrics:
 class Trace:
     """A run's rounds and checkpoints.
 
-    q is an array('d') and y an array('b'), 8 and 1 bytes a round; p is
-    a list of the grid's own floats, 8 bytes of pointer a round.  round
-    says which round played the run, "compiled" or "python", and oracle
-    holds the counters that the forecaster's FORECASTERS entry names.
+    q, p and y are typed columns: q and p are array('d'), 8 bytes a
+    round each, and y an array('b'), 1 byte.  p holds each round's grid
+    point, one of the game's grid floats.  round says which round played
+    the run, "compiled" or "python", and oracle holds the counters that
+    the forecaster's FORECASTERS entry names.
     """
 
     config: ExperimentConfig
     m: int
     q: array = field(default_factory=lambda: array("d"))
-    p: list = field(default_factory=list)
+    p: array = field(default_factory=lambda: array("d"))
     y: array = field(default_factory=lambda: array("b"))
     checkpoints: list = field(default_factory=list)
     stats: BucketStats | None = None
@@ -336,17 +337,18 @@ def _checked(cfg: ExperimentConfig):
 class _PythonRound:
     """compiled.Round's run and store in Python: the round of a forecaster
     with no compiled mode, the fallback when the library does not load,
-    and the test oracle.  It plays in place, so store has nothing to copy;
-    against the adversary it carries the ledger's l1 norm and writes each
-    label into ys[r]."""
+    and the test oracle.  It plays in place, so store has nothing to copy.
+    Round r writes the grid point it plays into ps[r]; against the
+    adversary it carries the ledger's l1 norm and writes each label into
+    ys[r]."""
 
     def __init__(self, forecaster, stats: BucketStats, adversarial: bool):
         self.forecaster, self.stats, self.adversarial = forecaster, stats, adversarial
         self.l1 = 0.0
 
-    def run(self, qs, ys, lo: int, hi: int, out, at: int) -> None:
+    def run(self, qs, ys, ps, lo: int, hi: int) -> None:
         f, cfg = self.forecaster, self.forecaster.cfg
-        play, update, add = f.play, f.update, self.stats.add
+        play, update, add, grid = f.play, f.update, self.stats.add, cfg.grid
         for r in range(lo, hi):
             q = qs[r]
             # The round's two quote scores, shared by the forecaster, the
@@ -359,7 +361,7 @@ class _PythonRound:
                 ys[r] = y
             else:
                 y = ys[r]
-            out[at + r - lo] = i
+            ps[r] = grid[i]
             add(i, y, cfg.score1[i] if y else cfg.score0[i], quote_scores[y])
             update(y)
 
@@ -386,16 +388,14 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     fn = None if entry.mode is None else compiled.library()
     rounds = (_PythonRound(forecaster, stats, adversarial) if fn is None
               else compiled.Round(fn, entry.mode, forecaster, stats, adversarial=adversarial))
-    played = array("i", bytes(4 * BLOCK_ROUNDS))  # the grid indices of a block's rounds
-
-    qs_out, ps, ys_out = trace.q, trace.p, trace.y
-    grid = gcfg.grid
+    qs_out, ps_out, ys_out = trace.q, trace.p, trace.y
 
     for lo in range(0, T, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, T - lo)
         # Labels are 0 or 1, so bytes() packs them for array('b') in one
         # C loop; fromlist would check each item as a small int.  The
-        # adversary's labels start at 0 and the round writes them in place.
+        # block's plays, and the adversary's labels, start at 0 and the
+        # round writes them in place.
         if adversarial:
             # Only a constant oracle quotes without the labels.
             qs, ys = oracle_src.quotes(n, None, None), bytes(n)
@@ -404,10 +404,11 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
             qs, ys = oracle_src.quotes(n, labels, pis), bytes(labels)
         qs_out.fromlist(qs)
         ys_out.frombytes(ys)
+        ps_out.frombytes(bytes(8 * n))
         t1 = lo
         while t1 < lo + n:
             stop = min(lo + n, next_cp or T)
-            rounds.run(qs_out, ys_out, t1, stop, played, t1 - lo)
+            rounds.run(qs_out, ys_out, ps_out, t1, stop)
             t1 = stop
             if t1 == next_cp:
                 rounds.store()
@@ -416,7 +417,6 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
                     t1, *stats.rates(delta),
                     dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
                 next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
-        ps.extend([grid[i] for i in played[:n]])
 
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
@@ -507,19 +507,16 @@ def _int_list(values, what: str) -> list:
     return out
 
 
-def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
-    """Run base at each horizon of T_grid with each seed: seeds is a
-    count (seed, seed+1, ...) or a list.  Every input is checked, once per
-    distinct horizon, before any run starts."""
+def sweep(base: ExperimentConfig, T_grid, seeds: int) -> SweepResult:
+    """Run base at each horizon of T_grid with seeds seeds: seed,
+    seed+1, ...  Every input is checked, once per distinct horizon,
+    before any run starts."""
     Ts = sorted(set(_int_list(T_grid, "T_grid")))
     for T in Ts:
         _checked(replace(base, T=T))
-    if _is_int(seeds):
-        if seeds < 1:
-            raise ConfigError(f"need at least one seed, got {seeds}")
-        seed_list = [base.seed + k for k in range(seeds)]
-    else:
-        seed_list = _int_list(seeds, "seeds")
+    if not (_is_int(seeds) and seeds >= 1):
+        raise ConfigError(f"seeds must be a positive count, got {seeds!r}")
+    seed_list = [base.seed + k for k in range(seeds)]
 
     # The longest horizons go first, so no pool worker is left alone with
     # one at the end.  The rows group results by T, each horizon's seeds
@@ -527,7 +524,8 @@ def sweep(base: ExperimentConfig, T_grid, seeds) -> SweepResult:
     jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
-        compiled.library()  # built here, so forked workers never build it
+        if FORECASTERS[base.forecaster].mode is not None:
+            compiled.library()  # built here, so forked workers never build it
         # Imported here: a run that never sweeps does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 

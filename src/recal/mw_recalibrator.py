@@ -48,7 +48,6 @@ class MWState:
 
     cfg: GameConfig
     eta: float
-    T: int
     u: np.ndarray | None = None
     r: float = 0.0
     t: int = 0
@@ -83,7 +82,7 @@ def mw_init(cfg: GameConfig, T: int) -> MWState:
         raise ValueError(f"horizon T={T} is below ln(d) = {log_d:.3f} for m={cfg.m}")
     C = max(1.0, cfg.rule.lipschitz)
     eta = math.sqrt(log_d / (4.0 * T * C * C))
-    return MWState(cfg=cfg, eta=eta, T=T)
+    return MWState(cfg=cfg, eta=eta)
 
 
 def _support(cfg: GameConfig, x):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -144,19 +145,25 @@ def test_trace_blocks_match_whole_file_formatters(monkeypatch, forecaster, label
 
 
 def test_trace_cells_have_the_types_the_writer_formats():
-    # The writer formats q and p by float repr and y by int repr; a numpy
-    # scalar would spell itself 'np.float64(0.5)' in the CSV.  q and y are
-    # typed arrays, whose items read back as float and int.
+    # The writer formats every cell by repr, which spells a finite float or
+    # an int as json.dumps does; a numpy scalar would spell itself
+    # 'np.float64(0.5)', and nan or inf differ between the two.  q, p and
+    # y are typed arrays, whose items read back as float and int; p holds
+    # the grid's own floats.
     for forecaster in FORECASTERS:
         for labels, oracle in LABEL_ORACLES:
             trace = _matrix_trace(forecaster, labels, oracle, 64)
-            assert (trace.q.typecode, trace.y.typecode) == ("d", "b")
+            assert (trace.q.typecode, trace.p.typecode, trace.y.typecode) == ("d", "d", "b")
             assert {type(v) for v in trace.q} == {float}, (forecaster, labels, oracle)
             assert {type(v) for v in trace.p} == {float}, (forecaster, labels, oracle)
             assert {type(v) for v in trace.y} == {int}, (forecaster, labels, oracle)
+            assert set(trace.p) <= set(trace.game.grid), (forecaster, labels, oracle)
+            assert all(0.0 <= v <= 1.0 for v in trace.q), (forecaster, labels, oracle)
             for c in trace.checkpoints:
-                assert {type(v) for v in (c.calib_l1, c.average_regret,
-                                          c.recalibration_rate, c.dist_to_target)} == {float}
+                metrics = (c.calib_l1, c.average_regret, c.recalibration_rate,
+                           c.dist_to_target)
+                assert {type(v) for v in metrics} == {float}
+                assert all(math.isfinite(v) for v in metrics), (forecaster, labels, oracle)
 
 
 def _writer_peak(trace, fmt):
@@ -235,6 +242,30 @@ def test_bench_command_lines_write_the_pinned_bytes(tmp_path, monkeypatch, round
         assert got == digests, name
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_run_and_sweep_note_the_python_round_on_stderr(tmp_path, monkeypatch, capsys):
+    # The note changes neither the exit code nor a byte of the outputs.
+    fn = compiled.library()
+    assert fn is not None, "a C compiler is on PATH but the library did not load"
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    written = {}
+    for name, library in (("compiled", fn), ("python", None)):
+        monkeypatch.setattr(compiled, "library", lambda: library)
+        for forecaster in FORECASTERS:
+            out = tmp_path / name / forecaster
+            assert cli.main(_run_args(out, **{"--forecaster": forecaster})) == 0
+            assert cli.main(["sweep", "--T-grid", "32,64", "--m", "4", "--seeds", "2",
+                             "--forecaster", forecaster, "--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            note = ("note: the compiled round did not load; the Python round plays "
+                    f"{forecaster}\n")
+            assert err == ("" if library else 2 * note), (name, forecaster)
+            written[name, forecaster] = [(out / f).read_bytes()
+                                         for f in ("trace.csv", "sweep.csv")]
+    for forecaster in FORECASTERS:
+        assert written["python", forecaster] == written["compiled", forecaster], forecaster
+
+
 def test_run_flag_overrides_config_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"T": 32, "m": 4, "seed": 5, "rule": "brier"}))
@@ -304,7 +335,7 @@ def test_run_type_checks_config_values(tmp_path):
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     cfg_file.write_text(json.dumps({"T": 32, "m": 4, "labels": 3}))
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
-    # the library takes a list of seeds, the CLI only a count
+    # seeds is a count, not a list
     cfg_file.write_text(json.dumps({"T_grid": [32, 64], "m": 4, "seeds": [1, 2]}))
     assert cli.main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "sweep.csv").exists()

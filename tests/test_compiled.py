@@ -50,7 +50,9 @@ def _run(monkeypatch, cfg, fn):
 
 def _assert_same_run(a, b):
     (ta, sa), (tb, sb) = a, b
-    assert (ta.q.tobytes(), ta.p, ta.y.tobytes()) == (tb.q.tobytes(), tb.p, tb.y.tobytes())
+    assert ta.p.typecode == tb.p.typecode == "d"
+    assert ((ta.q.tobytes(), ta.p.tobytes(), ta.y.tobytes())
+            == (tb.q.tobytes(), tb.p.tobytes(), tb.y.tobytes()))
     assert repr(ta.checkpoints) == repr(tb.checkpoints)
     assert ta.cum_payoff.cal.tobytes() == tb.cum_payoff.cal.tobytes()
     assert repr(ta.cum_payoff.reg) == repr(tb.cum_payoff.reg)
@@ -260,15 +262,18 @@ def test_summary_names_the_round_and_counts_approach_and_mw_runs(tmp_path, monke
 
 
 def test_a_sweep_loads_the_library_before_its_pool_forks(monkeypatch):
-    # the parent's calls are counted; forked workers count in their own copy
+    # the parent's calls are counted; forked workers count in their own
+    # copy.  A forecaster with no compiled mode never needs the library.
     calls = []
     library = compiled.library
     monkeypatch.setattr(compiled, "library", lambda: calls.append(1) or library())
     monkeypatch.setenv("RECAL_THREADS", "2")
+    monkeypatch.setitem(harness.FORECASTERS, "last_point",
+                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
     for forecaster in harness.FORECASTERS:
         calls.clear()
         harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
-        assert len(calls) == 1, forecaster
+        assert len(calls) == (forecaster != "last_point"), forecaster
 
 
 _BUILD = """
@@ -306,16 +311,23 @@ def test_approach_round_refuses_columns_it_would_overrun():
     state, stats = harness.RecalibratorState(gcfg, 0), harness.BucketStats(8)
     kernel = compiled.Round(compiled.library(), compiled.APPROACH, state, stats,
                             adversarial=False)
-    qs, ys, out = array("d", [0.5] * 4), array("b", [1] * 4), array("i", [0] * 4)
-    with pytest.raises(ValueError):
-        kernel.run(qs, ys, 0, 5, out, 0)
-    with pytest.raises(ValueError):
-        kernel.run(qs, ys, 2, 4, out, 3)
-    with pytest.raises(TypeError):
-        kernel.run(array("f", [0.5] * 4), ys, 0, 4, out, 0)
-    kernel.run(qs, ys, 0, 4, out, 0)
+    qs, ys, ps = array("d", [0.5] * 4), array("b", [1] * 4), array("d", [-1.0] * 4)
+    for bad in [(qs, ys, ps, 0, 5), (qs, ys, ps, 3, 2), (qs, ys, ps, -1, 2),
+                (qs, ys, array("d", [-1.0] * 3), 0, 4), (qs, ys, array("d"), 2, 4)]:
+        with pytest.raises(ValueError):
+            kernel.run(*bad)
+    for bad in [(array("f", [0.5] * 4), ys, ps), (qs, array("B", [1] * 4), ps),
+                (qs, ys, array("i", [0] * 4)), (qs, ys, array("f", [0.0] * 4))]:
+        with pytest.raises(TypeError):
+            kernel.run(*bad, 0, 4)
+    # nothing was played or written
+    kernel.store()
+    assert stats.T == 0 and state.t == 1 and list(ps) == [-1.0] * 4
+    kernel.run(qs, ys, ps, 0, 4)
     kernel.store()
     assert stats.T == 4 and state.t == 5 and stats.counts[4] >= 1
+    # the grid points played, each as often as stats counted it
+    assert sorted(ps) == [gcfg.grid[i] for i in range(9) for _ in range(stats.counts[i])]
 
 
 @needs_cc
@@ -358,6 +370,6 @@ def test_a_forecaster_without_a_compiled_mode_plays_its_own_rounds_in_python(mon
                         harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
     trace = run_experiment(dataclasses.replace(cfg, forecaster="last_point"))
     assert trace.round == "python"
-    assert trace.p == [1.0] * cfg.T
+    assert list(trace.p) == [1.0] * cfg.T
     assert trace.oracle is None
     assert trace.stats.counts == [0] * 8 + [cfg.T]

@@ -147,7 +147,7 @@ def test_dp_matches_dense_enumeration_at_large_eta(m):
     # magnitude within 60 updates, still inside the dense float range
     rule = brier() if m % 2 == 0 else log_clipped(0.05)
     cfg = unchecked_game_config(m, rule)
-    state = MWState(cfg=cfg, eta=3.0, T=200)
+    state = MWState(cfg=cfg, eta=3.0)
     dense = DenseMW(cfg, 200)
     dense.eta = state.eta
     rng = np.random.default_rng(70 + m)
@@ -203,7 +203,7 @@ def test_overflowing_weights_stay_exact():
     # eta far above any legal value drives the lifted weights past the
     # float range within a few rounds; their logs stay exact
     cfg = unchecked_game_config(2, brier())
-    state = MWState(cfg=cfg, eta=50.0, T=100)
+    state = MWState(cfg=cfg, eta=50.0)
     x = _one_hot(3, 0)
     for _ in range(30):
         mw_update_vector(state, x, 1.0, 1)
@@ -235,7 +235,7 @@ def test_large_eta_runs_track_cumulative_losses():
     for eta in (10.0, 20.0, 40.0, 80.0):
         for m, rule, seed in _battery_runs():
             cfg = unchecked_game_config(m, rule)
-            state = MWState(cfg=cfg, eta=eta, T=100)
+            state = MWState(cfg=cfg, eta=eta)
             rng = np.random.default_rng(seed)
             cum_cal = np.zeros(m + 1)
             cum_reg = 0.0
@@ -275,7 +275,7 @@ def test_choose_regret_only_plays_nearest_grid_point():
     # weights concentrated on the regret coordinate reduce the game to
     # pure proper-scoring regret
     cfg = unchecked_game_config(2, brier())
-    state = MWState(cfg=cfg, eta=0.1, T=100, r=460.0)
+    state = MWState(cfg=cfg, eta=0.1, r=460.0)
     for q, j in ((0.5, 1), (0.0, 0), (1.0, 2)):
         x = mw_choose_vector(state, q)
         assert x[j] == 1.0
@@ -286,7 +286,7 @@ def test_choose_breaks_ties_to_nearest_grid_point(m):
     # with no weight on the regret coordinate and u = 0 every weighted
     # loss is exactly 0, so every play is optimal
     cfg = unchecked_game_config(m, brier())
-    state = MWState(cfg=cfg, eta=0.1, T=100, r=-800.0)
+    state = MWState(cfg=cfg, eta=0.1, r=-800.0)
     rng = np.random.default_rng(m)
     for q in [i / m for i in range(m + 1)] + rng.random(8).tolist():
         x = mw_choose_vector(state, q)
@@ -412,9 +412,9 @@ def _differential_states(cfg, rng):
                   int(rng.integers(0, 2)))
     yield state
     # every factor exp(u_k) near 1e200, so their product overflows
-    yield MWState(cfg=cfg, eta=0.1, T=100, u=np.full(n, 460.5))
+    yield MWState(cfg=cfg, eta=0.1, u=np.full(n, 460.5))
     # a large eta drives the lifted weights past the float range
-    state = MWState(cfg=cfg, eta=5.0, T=100)
+    state = MWState(cfg=cfg, eta=5.0)
     _play(state, 10, rng)
     yield state
     while max(abs(state.r), np.abs(state.u).max()) < 700.0:
