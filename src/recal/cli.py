@@ -14,9 +14,11 @@ import json
 import os
 import string
 import sys
-import tempfile
+import time
 from dataclasses import MISSING, asdict, astuple, fields
 from typing import NamedTuple
+
+import numpy as np
 
 from . import checks, compiled
 from .harness import FORECASTERS, ConfigError, ExperimentConfig, run_experiment, sweep
@@ -88,15 +90,12 @@ def _as_T_grid(merged: dict):
 def _atomic_write(path: str, blocks) -> None:
     """Write the text blocks to path, one at a time, through a temporary
     file in the same directory that replaces path once all are written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.",
-                               suffix="." + os.path.basename(path))
-    # mkstemp creates the file 0600 and os.replace keeps that mode: give
-    # it the mode open(path, "w") would, 0666 less the umask.
-    umask = os.umask(0)
-    os.umask(umask)
+    directory, name = os.path.split(os.path.abspath(path))
+    # A random name that O_EXCL refuses if it exists; the kernel gives the
+    # file 0666 less the umask, the mode open(path, "w") would.
+    tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}.{name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines(blocks)
         os.replace(tmp, path)
@@ -172,44 +171,94 @@ _TRACE_FORMATS = {
 TRACE_BLOCK_ROWS = 1024
 
 
-def _fill(template: tuple, cols: list):
-    """The texts of template's rows, field k of each row from cols[k]."""
-    return itertools.chain.from_iterable(zip(*[
-        itertools.repeat(piece) if isinstance(piece, str) else cols[piece]
-        for piece in template]))
+def _spell(template, cells, n: int) -> list:
+    """The n texts of template, field k of the i-th from cells[k][i]; a
+    template without fields gives n copies of its text."""
+    return list(map("".join, zip(itertools.repeat("", n), *[
+        itertools.repeat(piece) if isinstance(piece, str) else cells[piece]
+        for piece in template])))
+
+
+def _cut(template, loose):
+    """template cut at the fields in loose: the runs of pieces between
+    them, and the loose fields in the order they come."""
+    runs, order, run = [], [], []
+    for piece in template:
+        if piece in loose:
+            runs.append(run)
+            order.append(piece)
+            run = []
+        else:
+            run.append(piece)
+    return runs + [run], order
+
+
+def _distinct(bits):
+    """The distinct values of bits, sorted."""
+    s = np.sort(bits)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _block_text(spec: _TraceFormat, trace, lo: int, hi: int) -> str:
+    """The text of trace's rows lo + 1 to hi.
+
+    Each row is keyed by the bit patterns of its cells (so -0.0 and 0.0,
+    or a p off the grid, keep their own text), and the plain template's
+    text between its loose fields is spelled once per distinct key.  t
+    is always loose.  When the block's quotes repeat (a distinct quote
+    per four rows at most) the key is (q, p, y); otherwise q is loose
+    too, spelled by repr in every row, and the key is (p, y).
+    Checkpoint rows take the full template.
+    """
+    n = hi - lo
+    # Views of copies: no buffer of trace's own columns is exported, so
+    # they can still grow while the writer is between blocks.
+    q = np.frombuffer(trace.q[lo:hi], np.float64)
+    p = np.frombuffer(trace.p[lo:hi], np.float64)
+    y = np.frombuffer(trace.y[lo:hi], np.int8)
+    qbits, pbits = q.view(np.uint64), p.view(np.uint64)
+    quotes = _distinct(qbits)
+    if 4 * len(quotes) <= n:
+        loose, key = (0,), np.searchsorted(quotes, qbits)
+    else:
+        loose, key = (0, 1), 0
+    plays = _distinct(pbits)
+    # a label's byte is its own code
+    key = (key * len(plays) + np.searchsorted(plays, pbits)) * 256 + y.view(np.uint8)
+    keys, row_key = np.unique(key, return_inverse=True)
+    some_row = np.empty(len(keys), np.intp)  # a row with each key
+    some_row[row_key] = np.arange(n)
+    # Every cell is an int or a finite float: q lies in [0, 1], p is a
+    # grid point and the metrics are bounded sums.  For those repr
+    # writes the same text as json.dumps, so one encoder serves both
+    # formats.
+    cells = [None] + [list(map(repr, col[some_row].tolist())) for col in (q, p, y)]
+    runs, order = _cut(spec.plain, loose)
+    width = 2 * len(order) + 1
+    pieces = [None] * (width * n)
+    for k, run in enumerate(runs):
+        texts = np.array(_spell(run, cells, len(keys)), dtype=object)
+        pieces[2 * k::width] = texts[row_key].tolist()
+    for k, field in enumerate(order):
+        pieces[2 * k + 1::width] = map(repr, range(lo + 1, hi + 1) if field == 0
+                                       else q.tolist())
+    for c in trace.checkpoints:
+        if lo < c.t <= hi:
+            row = [[repr(v)] for v in (c.t, trace.q[c.t - 1], trace.p[c.t - 1],
+                                       trace.y[c.t - 1], c.calib_l1, c.average_regret,
+                                       c.recalibration_rate, c.dist_to_target)]
+            r = width * (c.t - lo - 1)
+            pieces[r:r + width] = _spell(spec.full, row, 1) + [""] * (width - 1)
+    return "".join(pieces)
 
 
 def _trace_blocks(trace, fmt: str):
-    """The text of trace's file in format fmt, TRACE_BLOCK_ROWS rows at a time.
-
-    A block is built column by column: repr turns each of q, p and y into
-    cell texts, the rows between checkpoints take the plain template and
-    each checkpoint row the full one.
-    """
+    """The text of trace's file in format fmt, TRACE_BLOCK_ROWS rows at a time."""
     spec = _TRACE_FORMATS[fmt]
     T = len(trace.p)
     yield spec.head
     for lo in range(0, T, TRACE_BLOCK_ROWS):
-        hi = min(lo + TRACE_BLOCK_ROWS, T)
-        # Every cell is an int or a finite float: q lies in [0, 1],
-        # p is a grid point and the metrics are bounded sums.  For those
-        # repr writes the same text as json.dumps, so one encoder serves
-        # both formats.
-        cols = [list(map(repr, col)) for col in
-                (range(lo + 1, hi + 1), trace.q[lo:hi], trace.p[lo:hi], trace.y[lo:hi])]
-        runs = []
-        start = 0
-        for c in trace.checkpoints:
-            if lo < c.t <= hi:
-                k = c.t - lo - 1
-                metrics = map(repr, (c.calib_l1, c.average_regret, c.recalibration_rate,
-                                     c.dist_to_target))
-                runs.append(_fill(spec.plain, [col[start:k] for col in cols]))
-                runs.append(_fill(spec.full, [col[k:k + 1] for col in cols]
-                                  + [[cell] for cell in metrics]))
-                start = k + 1
-        runs.append(_fill(spec.plain, [col[start:] for col in cols]))
-        text = "".join(itertools.chain.from_iterable(runs))
+        text = _block_text(spec, trace, lo, min(lo + TRACE_BLOCK_ROWS, T))
         yield text if lo else text[len(spec.sep):]
     yield spec.foot
 
@@ -224,7 +273,9 @@ def cmd_run(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace.{fmt}")
+    t0 = time.perf_counter()
     _atomic_write(trace_path, _trace_blocks(trace, fmt))
+    trace_write_s = time.perf_counter() - t0
 
     cfg = trace.game
     final = trace.final
@@ -240,6 +291,7 @@ def cmd_run(args) -> int:
         "final": asdict(final),
         "round": trace.round,
         "wall_time_s": trace.wall_time,
+        "trace_write_s": trace_write_s,
     }
     if trace.oracle is not None:
         summary["oracle"] = trace.oracle

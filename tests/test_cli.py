@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,34 @@ def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
+def test_the_writer_never_sets_the_umask(tmp_path, monkeypatch):
+    # Reading the umask means setting it, and while it is 0 a file that
+    # another thread creates comes out world-writable.
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setenv("RECAL_THREADS", "1")
+    saved = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", refuse)
+            assert cli.main(_run_args(tmp_path)) == 0
+            assert cli.main(["sweep", "--T-grid", "32,64", "--m", "4",
+                             "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(saved)
+    for name in ("trace.csv", "summary.json", "sweep.csv", "sweep_summary.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640, name
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")] == []
+
+
+def test_summary_times_the_trace_write(tmp_path):
+    assert cli.main(_run_args(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["trace_write_s"] > 0.0
+    assert summary["wall_time_s"] > 0.0
+
+
 def test_run_json_format(tmp_path):
     assert cli.main(_run_args(tmp_path, **{"--format": "json"})) == 0
     rows = json.loads((tmp_path / "trace.json").read_text())
@@ -113,35 +142,93 @@ def test_run_json_format(tmp_path):
 
 
 FORECASTERS = tuple(harness.FORECASTERS)
+TRACE_BLOCK_ROWS = cli.TRACE_BLOCK_ROWS
 LABEL_ORACLES = [(labels, oracle)
                  for labels in ("iid_bernoulli:0.5", "periodic:0110")
                  for oracle in ("constant:0.5", "clairvoyant:0.2", "truth", "noisy_truth:0.1")
-                 ] + [("adversarial_greedy", "constant:0.5")]
+                 ] + [("adversarial_greedy", "constant:0.5"), ("iid_bernoulli:0.5", "constant:-0")]
 
 
-def _matrix_trace(forecaster, labels, oracle, T):
-    return run_experiment(ExperimentConfig(T=T, m=3, forecaster=forecaster, labels=labels,
+def _matrix_trace(forecaster, labels, oracle, T, m=3):
+    return run_experiment(ExperimentConfig(T=T, m=m, forecaster=forecaster, labels=labels,
                                            oracle=oracle, seed=17))
+
+
+def _column_trace(q, p, y):
+    """A trace of the given columns, with a checkpoint row at each power of 2
+    and at the last row."""
+    trace = harness.Trace(config=None, m=4, q=array("d", q), p=array("d", p),
+                          y=array("b", y))
+    trace.checkpoints = [harness.CheckpointMetrics(t, t / 3, 0.0, -0.0, 1e-300 * t, 2.0 ** -t)
+                         for t in checkpoint_schedule(len(q))]
+    return trace
+
+
+def _edge_trace(name):
+    if name == "m300":
+        return _matrix_trace("approach", "iid_bernoulli:0.5", "clairvoyant:0.2", 2000, m=300)
+    if name == "repeated_then_distinct":
+        # 1,024 rows of three quotes, then 1,024 distinct ones
+        q = [(0.2, 0.6, 0.6)[t % 3] for t in range(1024)] + [t / 2048 for t in range(1024)]
+        return _column_trace(q, [(t * t % 5) / 4 for t in range(2048)],
+                             [int(t % 3 == 1) for t in range(2048)])
+    if name == "signed_zeros":
+        return _column_trace([(0.0, -0.0, 0.5)[t % 3] for t in range(40)],
+                             [(-0.0, 0.0)[t % 7 < 3] for t in range(40)], [t % 2 for t in range(40)])
+    if name == "off_grid":
+        # 0.1 + 0.2 and the float after 0.25 lie off the m = 4 grid beside
+        # points on it
+        p = (0.25, math.nextafter(0.25, 1.0), 0.1 + 0.2, 0.3, 1 / 3)
+        return _column_trace([0.3] * 50, [p[t % 5] for t in range(50)], [0] * 50)
+    raise ValueError(name)
+
+
+def _assert_blocks_match(monkeypatch, trace, label):
+    # The chunked writer spells every trace exactly as the formatters
+    # that built the whole file did, with block boundaries on and beside
+    # checkpoint rows (blocks of 1, 3 and 7 rows) as well as the default.
+    want = {"csv": _trace_csv_text(trace), "json": _json_text(_trace_json_rows(trace))}
+    for rows in (TRACE_BLOCK_ROWS, 1, 3, 7):
+        monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", rows)
+        for fmt in ("csv", "json"):
+            assert "".join(cli._trace_blocks(trace, fmt)) == want[fmt], (label, rows, fmt)
 
 
 @pytest.mark.parametrize("labels, oracle", LABEL_ORACLES)
 @pytest.mark.parametrize("forecaster", FORECASTERS)
 def test_trace_blocks_match_whole_file_formatters(monkeypatch, forecaster, labels, oracle):
-    # The chunked writer spells every trace exactly as the formatters
-    # that built the whole file did, with block boundaries on and beside
-    # checkpoint rows (blocks of 1, 3 and 7 rows) as well as the default.
     for T in (1, 2, 3, 1000, 1024):
         if forecaster == "mw" and T < 3:
             # mw needs T >= ln(2^(m+1) + 1), which is 2.83 at m = 3
             with pytest.raises(ConfigError):
                 _matrix_trace(forecaster, labels, oracle, T)
             continue
-        trace = _matrix_trace(forecaster, labels, oracle, T)
-        want = {"csv": _trace_csv_text(trace), "json": _json_text(_trace_json_rows(trace))}
-        for rows in (cli.TRACE_BLOCK_ROWS, 1, 3, 7):
-            monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", rows)
-            for fmt in ("csv", "json"):
-                assert "".join(cli._trace_blocks(trace, fmt)) == want[fmt], (T, rows, fmt)
+        _assert_blocks_match(monkeypatch, _matrix_trace(forecaster, labels, oracle, T), T)
+
+
+@pytest.mark.parametrize("name", ["m300", "repeated_then_distinct", "signed_zeros", "off_grid"])
+def test_trace_blocks_match_whole_file_formatters_on_edge_traces(monkeypatch, name):
+    # Rows are keyed by the bits of their cells: blocks whose quotes repeat
+    # and blocks whose quotes do not, more grid points than a block has
+    # rows, 0.0 beside -0.0 in one block of q and of p, and plays off the
+    # grid each keep their own text.
+    _assert_blocks_match(monkeypatch, _edge_trace(name), name)
+
+
+def test_trace_columns_can_grow_between_blocks(monkeypatch):
+    # The writer holds no buffer of the trace's columns across a block, so
+    # a producer can append rows while it waits for the next one.
+    monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", 16)
+    for name in ("repeated_then_distinct", "signed_zeros"):
+        trace = _edge_trace(name)
+        want = _trace_csv_text(trace)
+        got = []
+        for block in cli._trace_blocks(trace, "csv"):
+            got.append(block)
+            for col in (trace.q, trace.p, trace.y):
+                col.append(col[-1])  # BufferError while a view is exported
+                col.pop()
+        assert "".join(got) == want, name
 
 
 def test_trace_cells_have_the_types_the_writer_formats():
