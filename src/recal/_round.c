@@ -25,7 +25,10 @@
  * change last bits.  It returns the number of rounds played.  A round that
  * needs a uniform when none is left, whose oracle invariant fails, or whose
  * mw_choose does not converge, is not played: it changes nothing and sets
- * stop to RECAL_NEED_UNIFORMS or RECAL_INVARIANT. */
+ * stop to RECAL_NEED_UNIFORMS or RECAL_INVARIANT.
+ * recal_checkpoint computes a checkpoint's metrics from the same state
+ * between two calls of recal_round, so the state is copied back to Python
+ * only once, when the run ends. */
 #include <math.h>
 #include <stdint.h>
 
@@ -357,6 +360,37 @@ play_rounds(struct recal_round *s, int64_t n, const double *q, int8_t *y,
         }
     }
     return n;
+}
+
+/* The five floats of harness.CheckpointMetrics after the s->rounds rounds
+ * played, read off the live state: calib_l1, calibration_rate,
+ * average_regret and recalibration_rate as BucketStats.rates(delta) gives
+ * them, and dist_to_target of the average payoff, cal / t and cum_reg / t,
+ * each in the Python order of operations.  Python's max(0.0, x) is
+ * x > 0.0 ? x : 0.0.  dist_to_target divides before numpy sums, so the
+ * l1 norm is the pairwise sum of |cal_i / t|, taken in scratch, which
+ * holds m+1 doubles.  s->rounds must be at least 1. */
+void recal_checkpoint(const struct recal_round *s, double delta, double *scratch,
+                      double *out) {
+    const int64_t m = s->m;
+    const double t = (double)s->rounds;
+    double total = 0.0;
+    for (int64_t i = 0; i <= m; i++)
+        if (s->counts[i])
+            total += fabs((double)s->counts[i] * s->grid[i] - (double)s->label_sums[i]);
+    const double l1 = total / t;
+    const double regret = (s->cum_forecaster_score - s->cum_oracle_score) / t;
+    const double cal_excess = l1 - 0.5 / (double)m;
+    const double cal_rate = cal_excess > 0.0 ? cal_excess : 0.0;
+    const double reg_excess = regret - delta / 2.0;
+    double recal = cal_rate > 0.0 ? cal_rate : 0.0;
+    recal = reg_excess > recal ? reg_excess : recal;
+    for (int64_t i = 0; i <= m; i++)
+        scratch[i] = fabs(s->cal[i] / t);
+    const double cal_far = pairwise_sum(scratch, m + 1) - s->cal_threshold;
+    const double reg_far = s->cum_reg / t - s->reg_threshold;
+    out[0] = l1, out[1] = cal_rate, out[2] = regret, out[3] = recal;
+    out[4] = (cal_far > 0.0 ? cal_far : 0.0) + (reg_far > 0.0 ? reg_far : 0.0);
 }
 
 int64_t recal_round(struct recal_round *s, int64_t n, const double *q, int8_t *y,

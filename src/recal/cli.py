@@ -323,6 +323,7 @@ def cmd_sweep(args) -> int:
         "config": {k: merged[k] for k in SWEEP_KEYS},
         "slopes": result.slopes,
         "rows": [asdict(r) for r in result.rows],
+        "jobs": result.jobs,
     }
     summary_path = os.path.join(out_dir, "sweep_summary.json")
     _atomic_write(summary_path, [_json_text(summary)])

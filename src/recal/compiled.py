@@ -3,12 +3,13 @@ ctypes.
 
 load(cache_dir, cc) compiles _round.c with cc into cache_dir, under a
 name keyed by the crc32 of the source and the flags, unless it is there
-already, and gives its recal_round function, or None when the source or
-the compiler is missing or the build or the load fails.  library() is
+already, and gives a Library of its two functions, or None when the
+source or the compiler is missing or the build or the load fails.  library() is
 load() into the package's __pycache__ with cc, memoized per process.
 Round binds a forecaster in the mode that its caller names, and its
-BucketStats, to the function, which then plays their rounds, the greedy
-adversary's included, bit for bit as the Python round does.
+BucketStats, to the library, whose recal_round then plays their rounds,
+the greedy adversary's included, and whose recal_checkpoint computes
+their checkpoint metrics, bit for bit as the Python round does.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ctypes
 import functools
 import os
 import zlib
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,6 +40,8 @@ NEED_UNIFORMS = 1
 PASSTHROUGH, APPROACH, MW = 0, 1, 2
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# The library's two exports, as ctypes functions.
+Library = namedtuple("Library", "round checkpoint")
 
 
 class _Round(ctypes.Structure):
@@ -62,9 +66,9 @@ class _Round(ctypes.Structure):
 
 
 def load(cache_dir: str = CACHE_DIR, cc: str = "cc"):
-    """recal_round, built into cache_dir with cc if it is not there
-    yet, or None.  A build writes a temporary file and renames it, so
-    processes that build at once each leave a whole library."""
+    """The Library of _round.c, built into cache_dir with cc if it is
+    not there yet, or None.  A build writes a temporary file and renames
+    it, so processes that build at once each leave a whole library."""
     try:
         with open(SOURCE, "rb") as fh:
             key = zlib.crc32(" ".join((cc,) + FLAGS).encode(), zlib.crc32(fh.read()))
@@ -89,12 +93,15 @@ def load(cache_dir: str = CACHE_DIR, cc: str = "cc"):
                 os.unlink(tmp)
             return None
     try:
-        fn = ctypes.CDLL(path).recal_round
+        cdll = ctypes.CDLL(path)
+        lib = Library(cdll.recal_round, cdll.recal_checkpoint)
     except (OSError, AttributeError):
         return None
-    fn.argtypes = (ctypes.POINTER(_Round), _i64, _ptr, _ptr, _ptr)
-    fn.restype = _i64
-    return fn
+    lib.round.argtypes = (ctypes.POINTER(_Round), _i64, _ptr, _ptr, _ptr)
+    lib.round.restype = _i64
+    lib.checkpoint.argtypes = (ctypes.POINTER(_Round), _f64, _ptr, _ptr)
+    lib.checkpoint.restype = None
+    return lib
 
 
 @functools.cache
@@ -104,7 +111,7 @@ def library():
 
 
 class Round:
-    """A forecaster and a BucketStats whose rounds the compiled function
+    """A forecaster and a BucketStats whose rounds the compiled library
     plays.
 
     The caller names the mode, from harness.FORECASTERS: APPROACH plays
@@ -115,19 +122,20 @@ class Round:
     running l1 norm from 0, so the ledger must be fresh.  The constructor
     copies an approach state into arrays that the function updates in
     place; the payoff ledger and an MWState's u, rho and log_a it updates
-    where they lie.  store copies the rest back, in O(m), so that between
-    run and store the two objects are stale.  The uniforms come from the
-    forecaster's own generator, UNIFORM_BLOCK at a time, as its _uniform
-    draws them.
+    where they lie.  checkpoint reads the metrics off that state, and
+    store copies the rest back, in O(m), once the run is over, so that
+    between run and store the two objects are stale.  The uniforms
+    come from the forecaster's own generator, UNIFORM_BLOCK at a time, as
+    its _uniform draws them.
     """
 
-    def __init__(self, fn, mode, forecaster, stats, *, adversarial: bool):
+    def __init__(self, lib: Library, mode, forecaster, stats, *, adversarial: bool):
         if mode not in (PASSTHROUGH, APPROACH, MW):
             raise ValueError(f"no compiled mode {mode!r}")
         if adversarial and stats.T:
             raise ValueError("the adversary's running l1 norm starts at a fresh ledger")
         cfg, rule = forecaster.cfg, forecaster.cfg.rule
-        self._fn, self._forecaster, self._stats, self._mode = fn, forecaster, stats, mode
+        self._lib, self._forecaster, self._stats, self._mode = lib, forecaster, stats, mode
         # The struct holds raw pointers into these arrays, which live as
         # long as self.
         self._tables = grid, score0, score1 = [np.array(t) for t in
@@ -135,6 +143,8 @@ class Round:
         self._counts = np.array(stats.counts, dtype=np.int64)
         self._label_sums = np.array(stats.label_sums, dtype=np.int64)
         self._uniforms = np.zeros(UNIFORM_BLOCK)
+        # recal_checkpoint's scratch, m+1 doubles, and then its five outputs
+        self._checkpoint = np.empty(cfg.m + 6)
         left = forecaster._uniforms[::-1]
         self._uniforms[:len(left)] = left
         self._s = _Round(
@@ -175,7 +185,7 @@ class Round:
             raise TypeError("qs, ys and ps must be array('d'), array('b') and array('d')")
         if not 0 <= lo <= hi <= min(len(qs), len(ys), len(ps)):
             raise ValueError(f"rounds {lo}..{hi} do not fit the columns")
-        fn, ref, s = self._fn, self._ref, self._s
+        fn, ref, s = self._lib.round, self._ref, self._s
         q_addr, y_addr, p_addr = qs.buffer_info()[0], ys.buffer_info()[0], ps.buffer_info()[0]
         while lo < hi:
             lo += fn(ref, hi - lo, q_addr + 8 * lo, y_addr + lo, p_addr + 8 * lo)
@@ -189,9 +199,22 @@ class Round:
                 raise RuntimeError(f"the compiled round stopped at round {lo + 1}, "
                                    "which the Python round plays")
 
+    def checkpoint(self, delta: float) -> list:
+        """(calib_l1, calibration_rate, average_regret, recalibration_rate,
+        dist_to_target) after the rounds played so far, with regret slack
+        delta: what _PythonRound.checkpoint gives, bit for bit, with no
+        store."""
+        if not self._s.rounds:
+            raise ValueError("no rounds recorded")
+        work = self._checkpoint
+        scratch = work.ctypes.data
+        self._lib.checkpoint(self._ref, delta, scratch, scratch + 8 * (len(work) - 5))
+        return work[-5:].tolist()
+
     def store(self) -> None:
         """Copy the played state back into the forecaster and the
-        BucketStats."""
+        BucketStats, once the run is over or before the Python round
+        replays a round that the compiled one stopped at."""
         s, forecaster, stats = self._s, self._forecaster, self._stats
         forecaster.cum_reg = s.cum_reg
         forecaster._uniforms = self._uniforms[s.next_uniform:s.n_uniforms][::-1].tolist()

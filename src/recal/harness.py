@@ -335,12 +335,12 @@ def _checked(cfg: ExperimentConfig):
 
 
 class _PythonRound:
-    """compiled.Round's run and store in Python: the round of a forecaster
-    with no compiled mode, the fallback when the library does not load,
-    and the test oracle.  It plays in place, so store has nothing to copy.
-    Round r writes the grid point it plays into ps[r]; against the
-    adversary it carries the ledger's l1 norm and writes each label into
-    ys[r]."""
+    """compiled.Round's run, checkpoint and store in Python: the round of
+    a forecaster with no compiled mode, the fallback when the library
+    does not load, and the test oracle.  It plays in place, so store has
+    nothing to copy.  Round r writes the grid point it plays into ps[r];
+    against the adversary it carries the ledger's l1 norm and writes each
+    label into ys[r]."""
 
     def __init__(self, forecaster, stats: BucketStats, adversarial: bool):
         self.forecaster, self.stats, self.adversarial = forecaster, stats, adversarial
@@ -365,6 +365,16 @@ class _PythonRound:
             add(i, y, cfg.score1[i] if y else cfg.score0[i], quote_scores[y])
             update(y)
 
+    def checkpoint(self, delta: float) -> tuple:
+        """(calib_l1, calibration_rate, average_regret, recalibration_rate,
+        dist_to_target) after the rounds played so far, with regret slack
+        delta.  recal_checkpoint in _round.c computes the same floats in
+        the same order of operations: a change here must be made there
+        too."""
+        t, cum = self.stats.T, self.forecaster.cum_payoff
+        return (*self.stats.rates(delta),
+                dist_to_target(self.forecaster.cfg, PayoffVector(cum.cal / t, cum.reg / t)))
+
     def store(self) -> None:
         """Nothing to copy: run played in place."""
 
@@ -385,9 +395,9 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
 
     entry = FORECASTERS[cfg.forecaster]
     forecaster = entry.make(gcfg, T, rng)
-    fn = None if entry.mode is None else compiled.library()
-    rounds = (_PythonRound(forecaster, stats, adversarial) if fn is None
-              else compiled.Round(fn, entry.mode, forecaster, stats, adversarial=adversarial))
+    lib = None if entry.mode is None else compiled.library()
+    rounds = (_PythonRound(forecaster, stats, adversarial) if lib is None
+              else compiled.Round(lib, entry.mode, forecaster, stats, adversarial=adversarial))
     qs_out, ps_out, ys_out = trace.q, trace.p, trace.y
 
     for lo in range(0, T, BLOCK_ROUNDS):
@@ -411,16 +421,13 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
             rounds.run(qs_out, ys_out, ps_out, t1, stop)
             t1 = stop
             if t1 == next_cp:
-                rounds.store()
-                cum = forecaster.cum_payoff
-                trace.checkpoints.append(CheckpointMetrics(
-                    t1, *stats.rates(delta),
-                    dist_to_target(gcfg, PayoffVector(cum.cal / t1, cum.reg / t1))))
+                trace.checkpoints.append(CheckpointMetrics(t1, *rounds.checkpoint(delta)))
                 next_cp = next(schedule, 0)  # 0: no later round is a checkpoint
 
+    rounds.store()
     trace.cum_payoff = forecaster.cum_payoff
     trace.stats = stats
-    trace.round = "python" if fn is None else "compiled"
+    trace.round = "python" if lib is None else "compiled"
     if entry.names:
         trace.oracle = {name: getattr(entry.counters(forecaster), name) for name in entry.names}
     trace.wall_time = time.perf_counter() - t_start
@@ -462,8 +469,12 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """A sweep's rows and slopes, and its jobs: each run's T, seed, wall
+    time, round and counters, ordered by (T, seed)."""
+
     rows: list
     slopes: dict
+    jobs: list
 
 
 def _final_metrics(cfg: ExperimentConfig) -> dict:
@@ -475,7 +486,28 @@ def _final_metrics(cfg: ExperimentConfig) -> dict:
         "calibration_rate": final.calibration_rate,
         "average_regret": final.average_regret,
         "recalibration_rate": final.recalibration_rate,
+        "wall_time_s": trace.wall_time,
+        "round": trace.round,
+        "oracle": trace.oracle,
     }
+
+
+def _play(jobs) -> list:
+    """_final_metrics of each job, in order.  The name is looked up at
+    each call, so a wrapper bound to it, in this process or in a forked
+    one, sees every job."""
+    return [_final_metrics(job) for job in jobs]
+
+
+def _batches(jobs, workers: int) -> list:
+    """The indices of jobs in workers batches balanced by T: each job,
+    longest first, joins the first batch with the least sum of T."""
+    batches, loads = [[] for _ in range(workers)], [0] * workers
+    for k in sorted(range(len(jobs)), key=lambda k: -jobs[k].T):
+        w = loads.index(min(loads))
+        batches[w].append(k)
+        loads[w] += jobs[k].T
+    return batches
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -518,21 +550,30 @@ def sweep(base: ExperimentConfig, T_grid, seeds: int) -> SweepResult:
         raise ConfigError(f"seeds must be a positive count, got {seeds!r}")
     seed_list = [base.seed + k for k in range(seeds)]
 
-    # The longest horizons go first, so no pool worker is left alone with
-    # one at the end.  The rows group results by T, each horizon's seeds
-    # in order, so the job order does not change them.
+    # One batch of jobs per worker: the parent plays the first while a
+    # pool plays the rest, one batch to a process.  Results go back into
+    # job order, so each horizon's seeds are averaged in seed order.
     jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
+    batches = _batches(jobs, _worker_count(len(jobs)))
+    pool = None
+    if len(batches) > 1:
         if FORECASTERS[base.forecaster].mode is not None:
             compiled.library()  # built here, so forked workers never build it
         # Imported here: a run that never sweeps does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_final_metrics, jobs))
-    else:
-        results = [_final_metrics(job) for job in jobs]
+        pool = ProcessPoolExecutor(max_workers=len(batches) - 1)
+    try:
+        # With one batch there is no pool, and nothing to submit.
+        rest = [pool.submit(_play, [jobs[k] for k in batch]) for batch in batches[1:]]
+        played = [_play([jobs[k] for k in batches[0]])] + [f.result() for f in rest]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    results = [None] * len(jobs)
+    for batch, got in zip(batches, played):
+        for k, res in zip(batch, got):
+            results[k] = res
 
     by_T: dict[int, list[dict]] = {T: [] for T in Ts}
     for res in results:
@@ -558,4 +599,7 @@ def sweep(base: ExperimentConfig, T_grid, seeds: int) -> SweepResult:
             slopes[key] = {"slope": slope, "intercept": intercept, "r_squared": r2}
         else:
             slopes[key] = None
-    return SweepResult(rows=rows, slopes=slopes)
+    runs = sorted(zip(jobs, results), key=lambda jr: (jr[0].T, jr[0].seed))
+    job_info = [{"T": job.T, "seed": job.seed, "wall_time_s": res["wall_time_s"],
+                 "round": res["round"], "oracle": res["oracle"]} for job, res in runs]
+    return SweepResult(rows=rows, slopes=slopes, jobs=job_info)

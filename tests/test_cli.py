@@ -22,6 +22,7 @@ from recal import compiled, harness
 from recal.geometry import game_config
 from recal.harness import ConfigError, ExperimentConfig, checkpoint_schedule, run_experiment
 from recal.metrics import default_regret_slack
+from recal.recalibrator import ORACLE_COUNTERS
 from recal.scoring import parse_rule
 
 from .reference import _json_text, _trace_csv_text, _trace_json_rows, point_mass
@@ -452,6 +453,15 @@ def test_sweep_writes_rows_and_slopes(tmp_path, capsys, monkeypatch):
     }
     assert len(summary["rows"]) == 3
     assert summary["config"]["T_grid"] == "32,64,128"
+    # each job's wall time, round and counters, ordered by (T, seed)
+    jobs = summary["jobs"]
+    assert [(job["T"], job["seed"]) for job in jobs] == [
+        (T, seed) for T in (32, 64, 128) for seed in (0, 1)]
+    for job in jobs:
+        assert set(job) == {"T", "seed", "wall_time_s", "round", "oracle"}
+        assert job["wall_time_s"] > 0.0
+        assert job["round"] in ("compiled", "python")
+        assert set(job["oracle"]) == set(ORACLE_COUNTERS)
 
 
 def test_sweep_json_format(tmp_path, monkeypatch):

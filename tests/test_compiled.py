@@ -9,12 +9,14 @@ import sys
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recal import compiled, harness
 from recal.cli import main as cli_main
 from recal.geometry import UNIFORM_BLOCK, min_grid_resolution
 from recal.harness import ExperimentConfig, run_experiment
+from recal.metrics import default_regret_slack
 from recal.mw_recalibrator import MW_COUNTERS
 from recal.recalibrator import ORACLE_COUNTERS
 from recal.scoring import parse_rule
@@ -181,6 +183,75 @@ def test_compiled_mw_round_matches_the_python_round(monkeypatch, rule):
 
 
 @needs_cc
+@pytest.mark.parametrize("forecaster", ["approach", "passthrough"])
+@pytest.mark.parametrize("labels, oracle", [("iid_bernoulli:0.3", "noisy_truth:0.1"),
+                                            ("adversarial_greedy", "constant:0.37")])
+def test_compiled_checkpoints_match_at_the_pairwise_sum_thresholds(monkeypatch, forecaster,
+                                                                   labels, oracle):
+    # recal_checkpoint sums the m+1 terms |cal_i / t| in numpy's pairwise
+    # order: m+1 = 8 is its first 8-wide block, 128 its largest plain
+    # block and 129 its first split.  T is not a power of two, so the last
+    # checkpoint divides inexactly.
+    fn = compiled.library()
+    assert fn is not None, "a C compiler is on PATH but the compiled round did not load"
+    for m in (7, 127, 128):
+        cfg = ExperimentConfig(T=3000, m=m, forecaster=forecaster, labels=labels,
+                               oracle=oracle, seed=m)
+        fast, slow = _run(monkeypatch, cfg, fn)[0], _run(monkeypatch, cfg, None)[0]
+        assert (fast.round, slow.round) == ("compiled", "python")
+        assert repr(fast.checkpoints) == repr(slow.checkpoints)
+
+
+def _built_states(m: int):
+    """(name, t, cal, reg, counts, label_sums, scores) of hand-built
+    states of an m grid after t rounds."""
+    rng = np.random.default_rng(m)
+    counts, label_sums = [0] * (m + 1), [0] * (m + 1)
+    counts[m // 3], label_sums[m // 3] = 1, 1
+    cal = np.zeros(m + 1)
+    cal[m // 3] = m // 3 / m - 1.0
+    yield "one round", 1, cal, 0.125, counts, label_sums, (0.5, 0.25)
+    for t in (7, 3001):
+        counts, label_sums = [0] * (m + 1), [0] * (m + 1)
+        counts[m // 2], label_sums[m // 2] = t, t // 3
+        cal = rng.normal(scale=t / m, size=m + 1)
+        yield "one bucket", t, cal, 0.01 * t, counts, label_sums, (0.3 * t, 0.2 * t)
+    counts = rng.multinomial(1001, np.full(m + 1, 1.0 / (m + 1))).tolist()
+    label_sums = [int(rng.integers(0, n + 1)) for n in counts]
+    cal = rng.normal(scale=1001 / m, size=m + 1)
+    cal[::3] = -0.0
+    cal[1::5] = 0.0
+    yield "signed zeros", 1001, cal, -3.0, counts, label_sums, (10.0, 10.0)
+
+
+@needs_cc
+@pytest.mark.parametrize("m", [3, 7, 127, 128, 300])
+def test_compiled_checkpoint_matches_the_python_checkpoint_on_built_states(m):
+    # Round.checkpoint and _PythonRound.checkpoint read one hand-built
+    # ledger and BucketStats; the floats must agree bit for bit
+    gcfg = harness._checked(ExperimentConfig(T=8, m=m))[0]
+    delta = default_regret_slack(gcfg.rule, m)
+    fn = compiled.library()
+    for name, t, cal, reg, counts, label_sums, scores in _built_states(m):
+        ledger, stats = harness._PassthroughForecaster(gcfg), harness.BucketStats(m)
+        ledger._cum_cal[:] = cal
+        ledger.cum_reg = reg
+        stats.counts, stats.label_sums, stats.T = counts, label_sums, t
+        stats.cum_forecaster_score, stats.cum_oracle_score = scores
+        fast = compiled.Round(fn, compiled.PASSTHROUGH, ledger, stats, adversarial=False)
+        slow = harness._PythonRound(ledger, stats, False)
+        assert repr(list(fast.checkpoint(delta))) == repr(list(slow.checkpoint(delta))), name
+    # no rounds, no rates: the Python round's error
+    stats = harness.BucketStats(m)
+    fast = compiled.Round(fn, compiled.PASSTHROUGH, harness._PassthroughForecaster(gcfg),
+                          stats, adversarial=False)
+    for rounds in (fast, harness._PythonRound(harness._PassthroughForecaster(gcfg), stats,
+                                              False)):
+        with pytest.raises(ValueError, match="no rounds recorded"):
+            rounds.checkpoint(delta)
+
+
+@needs_cc
 @pytest.mark.parametrize("table, i, message", [
     ("score0", 0, r"oracle invariant f\(0, 0\) <= 0 violated: "),
     ("score1", -1, r"oracle invariant f\(m, 1\) <= 0 violated: "),
@@ -261,19 +332,37 @@ def test_summary_names_the_round_and_counts_approach_and_mw_runs(tmp_path, monke
             assert set(summary.get("oracle", ())) == set(counters), forecaster
 
 
-def test_a_sweep_loads_the_library_before_its_pool_forks(monkeypatch):
-    # the parent's calls are counted; forked workers count in their own
-    # copy.  A forecaster with no compiled mode never needs the library.
+def test_a_sweep_loads_the_library_before_its_pool_forks(monkeypatch, tmp_path):
+    # Each job notes how many library() calls its process had made when
+    # it started.  A forked worker starts from the parent's count at the
+    # fork, so its first job shows the parent's one preload.  A forecaster
+    # with no compiled mode never needs the library.
     calls = []
     library = compiled.library
     monkeypatch.setattr(compiled, "library", lambda: calls.append(1) or library())
+    final_metrics = harness._final_metrics
+    log = tmp_path / "jobs"
+
+    def noted(cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(calls)}\n")
+        return final_metrics(cfg)
+
+    monkeypatch.setattr(harness, "_final_metrics", noted)
     monkeypatch.setenv("RECAL_THREADS", "2")
     monkeypatch.setitem(harness.FORECASTERS, "last_point",
                         harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
     for forecaster in harness.FORECASTERS:
         calls.clear()
+        log.unlink(missing_ok=True)
         harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
-        assert len(calls) == (forecaster != "last_point"), forecaster
+        first = {}
+        for line in log.read_text().splitlines():
+            pid, seen = map(int, line.split())
+            first.setdefault(pid, seen)
+        preload = int(forecaster != "last_point")
+        assert first.pop(os.getpid()) == preload, forecaster
+        assert list(first.values()) == [preload], forecaster
 
 
 _BUILD = """

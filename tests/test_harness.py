@@ -298,8 +298,10 @@ def test_adversary_rejects_bad_ledger_and_round():
 
 @pytest.mark.parametrize("forecaster", ["approach", "passthrough", "mw"])
 def test_adversarial_run_snapshots_ledger_only_at_checkpoints(monkeypatch, forecaster):
-    # The adversary reads the live ledger; the m+1 copy is taken only for
-    # each checkpoint and for the final trace.
+    # The adversary reads the live ledger.  The Python round takes the m+1
+    # copy for each checkpoint and for the final trace; the compiled round
+    # computes its checkpoints from its own state and takes the copy once,
+    # for the final trace.
     owner = RecalibratorState if forecaster == "approach" else harness._PassthroughForecaster
     snapshot = owner.cum_payoff.fget
     reads = []
@@ -309,9 +311,16 @@ def test_adversarial_run_snapshots_ledger_only_at_checkpoints(monkeypatch, forec
         return snapshot(self)
 
     monkeypatch.setattr(owner, "cum_payoff", property(counted))
-    trace = run_experiment(_cfg(forecaster=forecaster, labels="adversarial_greedy",
-                                oracle="constant:0.5", T=300, m=8))
-    assert len(reads) == len(trace.checkpoints) + 1 == len(checkpoint_schedule(300)) + 1
+    cfg = _cfg(forecaster=forecaster, labels="adversarial_greedy", oracle="constant:0.5",
+               T=300, m=8)
+    for lib in (compiled.library(), None):
+        reads.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(compiled, "library", lambda: lib)
+            trace = run_experiment(cfg)
+        assert trace.round == ("python" if lib is None else "compiled")
+        assert len(trace.checkpoints) == len(checkpoint_schedule(300))
+        assert len(reads) == (1 if lib is not None else len(trace.checkpoints) + 1)
 
 
 _TRACED_RUNS = """
@@ -768,15 +777,58 @@ def test_sweep_slopes_on_synthetic_decay(monkeypatch):
 
 
 def test_pool_sweep_matches_the_serial_sweep(monkeypatch):
-    # Two workers take the uneven jobs longest first and give the rows and
-    # slopes of one worker, bit for bit.
-    base = _cfg(T=1, oracle="noisy_truth:0.2")
-    got = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RECAL_THREADS", threads)
-        result = sweep(base, [32, 64, 256], seeds=3)
-        got[threads] = (repr(result.rows), repr(result.slopes))
-    assert got["2"] == got["1"]
+    # The parent plays one batch and a pool of at most two processes the
+    # others; rows, slopes and jobs (but their wall times) are those of one
+    # process, bit for bit: one seed over eight uneven horizons, three
+    # seeds, and fewer jobs than threads.
+    cases = [(_cfg(T=1, m=None, exponent=1.0 / 3.0), [2 ** k for k in range(5, 13)], 1),
+             (_cfg(T=1, oracle="noisy_truth:0.2"), [32, 64, 256], 3),
+             (_cfg(T=1), [64], 2)]
+    for base, T_grid, seeds in cases:
+        got = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RECAL_THREADS", threads)
+            result = sweep(base, T_grid, seeds)
+            jobs = [{k: v for k, v in job.items() if k != "wall_time_s"} for job in result.jobs]
+            got[threads] = (repr(result.rows), repr(result.slopes), repr(jobs))
+        assert got["2"] == got["1"] == got["3"], (T_grid, seeds)
+
+
+def test_batches_hold_every_job_once_and_balance_by_T():
+    rng = np.random.default_rng(0)
+    for n, workers in ((1, 1), (8, 2), (8, 3), (56, 2), (5, 4), (30, 7)):
+        jobs = [_cfg(T=int(T)) for T in rng.integers(1, 5000, size=n)]
+        batches = harness._batches(jobs, workers)
+        assert len(batches) == workers
+        assert sorted(k for batch in batches for k in batch) == list(range(n))
+        loads = [sum(jobs[k].T for k in batch) for batch in batches]
+        assert max(loads) - min(loads) <= max(job.T for job in jobs), loads
+    # one seed over doubling horizons: every other job to each worker
+    # would give one twice the other's load
+    jobs = [_cfg(T=2 ** k) for k in range(12, 4, -1)]
+    loads = [sum(jobs[k].T for k in batch) for batch in harness._batches(jobs, 2)]
+    assert sorted(loads) == [4064, 4096]
+
+
+def test_a_pool_sweep_plays_each_job_once(monkeypatch, tmp_path):
+    # the parent and the forked worker both call _final_metrics through
+    # the module, so a wrapper bound there sees every job exactly once
+    log = tmp_path / "jobs"
+    final_metrics = harness._final_metrics
+
+    def logged(cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {cfg.T} {cfg.seed}\n")
+        return final_metrics(cfg)
+
+    monkeypatch.setattr(harness, "_final_metrics", logged)
+    monkeypatch.setenv("RECAL_THREADS", "2")
+    result = sweep(_cfg(T=1), [32, 64, 128], seeds=3)
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert sorted((int(T), int(seed)) for _, T, seed in lines) == [
+        (job["T"], job["seed"]) for job in result.jobs]
+    assert len(result.jobs) == 9
+    assert len({pid for pid, _, _ in lines}) == 2
 
 
 def test_sweep_rejects_bad_inputs(monkeypatch):
