@@ -6,7 +6,6 @@ import itertools
 import math
 import numbers
 import operator
-import os
 import time
 from array import array
 from collections import namedtuple
@@ -492,38 +491,6 @@ def _final_metrics(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _play(jobs) -> list:
-    """_final_metrics of each job, in order.  The name is looked up at
-    each call, so a wrapper bound to it, in this process or in a forked
-    one, sees every job."""
-    return [_final_metrics(job) for job in jobs]
-
-
-def _batches(jobs, workers: int) -> list:
-    """The indices of jobs in workers batches balanced by T: each job,
-    longest first, joins the first batch with the least sum of T."""
-    batches, loads = [[] for _ in range(workers)], [0] * workers
-    for k in sorted(range(len(jobs)), key=lambda k: -jobs[k].T):
-        w = loads.index(min(loads))
-        batches[w].append(k)
-        loads[w] += jobs[k].T
-    return batches
-
-
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("RECAL_THREADS", "")
-    if raw:
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ConfigError(f"RECAL_THREADS must be an integer, got {raw!r}") from None
-        if limit < 1:
-            raise ConfigError(f"RECAL_THREADS must be >= 1, got {limit}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, n_jobs))
-
-
 def _int_list(values, what: str) -> list:
     """values as a nonempty list of nonnegative Python ints; a string,
     a bool or a non-integer is refused, not coerced."""
@@ -550,38 +517,15 @@ def sweep(base: ExperimentConfig, T_grid, seeds: int) -> SweepResult:
         raise ConfigError(f"seeds must be a positive count, got {seeds!r}")
     seed_list = [base.seed + k for k in range(seeds)]
 
-    # One batch of jobs per worker: the parent plays the first while a
-    # pool plays the rest, one batch to a process.  Results go back into
-    # job order, so each horizon's seeds are averaged in seed order.
-    jobs = [replace(base, T=T, seed=s) for T in reversed(Ts) for s in seed_list]
-    batches = _batches(jobs, _worker_count(len(jobs)))
-    pool = None
-    if len(batches) > 1:
-        if FORECASTERS[base.forecaster].mode is not None:
-            compiled.library()  # built here, so forked workers never build it
-        # Imported here: a run that never sweeps does not load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=len(batches) - 1)
-    try:
-        # With one batch there is no pool, and nothing to submit.
-        rest = [pool.submit(_play, [jobs[k] for k in batch]) for batch in batches[1:]]
-        played = [_play([jobs[k] for k in batches[0]])] + [f.result() for f in rest]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    results = [None] * len(jobs)
-    for batch, got in zip(batches, played):
-        for k, res in zip(batch, got):
-            results[k] = res
-
-    by_T: dict[int, list[dict]] = {T: [] for T in Ts}
-    for res in results:
-        by_T[res["T"]].append(res)
+    # In (T, seed) order, each horizon's runs are one slice of results,
+    # in seed order.  _final_metrics is looked up at each call, so a
+    # wrapper bound to it sees every job.
+    jobs = [replace(base, T=T, seed=s) for T in Ts for s in seed_list]
+    results = [_final_metrics(job) for job in jobs]
 
     rows = []
-    for T in Ts:
-        group = by_T[T]
+    for k, T in enumerate(Ts):
+        group = results[k * seeds:(k + 1) * seeds]
         row_kwargs = {"T": T, "m": group[0]["m"]}
         for key in ("calibration_rate", "average_regret", "recalibration_rate"):
             vals = np.array([g[key] for g in group])
@@ -599,7 +543,7 @@ def sweep(base: ExperimentConfig, T_grid, seeds: int) -> SweepResult:
             slopes[key] = {"slope": slope, "intercept": intercept, "r_squared": r2}
         else:
             slopes[key] = None
-    runs = sorted(zip(jobs, results), key=lambda jr: (jr[0].T, jr[0].seed))
     job_info = [{"T": job.T, "seed": job.seed, "wall_time_s": res["wall_time_s"],
-                 "round": res["round"], "oracle": res["oracle"]} for job, res in runs]
+                 "round": res["round"], "oracle": res["oracle"]}
+                for job, res in zip(jobs, results)]
     return SweepResult(rows=rows, slopes=slopes, jobs=job_info)

@@ -90,9 +90,8 @@ def test_run_outputs_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
-def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask, mode):
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
     # the mode open(path, "w") would give, not the temporary file's 0600
-    monkeypatch.setenv("RECAL_THREADS", "1")
     saved = os.umask(umask)
     try:
         assert cli.main(_run_args(tmp_path)) == 0
@@ -110,7 +109,6 @@ def test_the_writer_never_sets_the_umask(tmp_path, monkeypatch):
     def refuse(mask):
         raise AssertionError("os.umask called")
 
-    monkeypatch.setenv("RECAL_THREADS", "1")
     saved = os.umask(0o027)
     try:
         with monkeypatch.context() as m:
@@ -277,20 +275,32 @@ def test_trace_writer_memory_does_not_grow_with_T():
     assert peaks[2**17] <= 8 * block, (peaks, block)
 
 
-def test_a_run_does_not_import_the_process_pool(tmp_path):
-    # Only a sweep with more than one worker loads multiprocessing, which
-    # costs a run about 2 MB of memory and 15 ms of import.
+def _pool_modules_after(argv) -> str:
+    """The process-pool modules that cli.main(argv) leaves imported, run
+    in a fresh interpreter with RECAL_THREADS unset."""
     script = ("import sys, recal.cli; "
-              f"assert recal.cli.main(['run', '--T', '64', '--m', '4', '--out', {str(tmp_path)!r}])"
-              " == 0; print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+              f"assert recal.cli.main({argv!r}) == 0; "
+              "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
               " if m in sys.modules])")
     env = dict(os.environ)
+    env.pop("RECAL_THREADS", None)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_a_run_does_not_import_the_process_pool(tmp_path):
+    # multiprocessing would cost a run about 2 MB of memory and 15 ms of import
+    assert _pool_modules_after(["run", "--T", "64", "--m", "4", "--out", str(tmp_path)]) == "[]"
+
+
+def test_a_sweep_does_not_import_the_process_pool(tmp_path):
+    # a sweep plays its jobs one after another in the calling process
+    assert _pool_modules_after(["sweep", "--T-grid", "32,64", "--m", "4", "--seeds", "2",
+                                "--out", str(tmp_path)]) == "[]"
 
 
 # sha256 of what the benchmark's command lines write at seed 200, as
@@ -314,7 +324,6 @@ def test_bench_command_lines_write_the_pinned_bytes(tmp_path, monkeypatch, round
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
-    monkeypatch.setenv("RECAL_THREADS", "1")
     assert sorted(workloads.NAMES) == sorted(BENCH_DIGESTS)
     for name, digests in BENCH_DIGESTS.items():
         wl = workloads.build(name, 200, str(tmp_path / name))
@@ -335,7 +344,6 @@ def test_run_and_sweep_note_the_python_round_on_stderr(tmp_path, monkeypatch, ca
     # The note changes neither the exit code nor a byte of the outputs.
     fn = compiled.library()
     assert fn is not None, "a C compiler is on PATH but the library did not load"
-    monkeypatch.setenv("RECAL_THREADS", "1")
     written = {}
     for name, library in (("compiled", fn), ("python", None)):
         monkeypatch.setattr(compiled, "library", lambda: library)
@@ -434,8 +442,7 @@ def test_run_type_checks_config_values(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_writes_rows_and_slopes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RECAL_THREADS", "1")
+def test_sweep_writes_rows_and_slopes(tmp_path, capsys):
     code = cli.main(["sweep", "--T-grid", "32,64,128", "--m", "4", "--seeds", "2",
                      "--out", str(tmp_path)])
     assert code == 0
@@ -464,8 +471,7 @@ def test_sweep_writes_rows_and_slopes(tmp_path, capsys, monkeypatch):
         assert set(job["oracle"]) == set(ORACLE_COUNTERS)
 
 
-def test_sweep_json_format(tmp_path, monkeypatch):
-    monkeypatch.setenv("RECAL_THREADS", "1")
+def test_sweep_json_format(tmp_path):
     code = cli.main(["sweep", "--T-grid", "32,64", "--m", "4", "--out",
                      str(tmp_path), "--format", "json"])
     assert code == 0

@@ -332,37 +332,24 @@ def test_summary_names_the_round_and_counts_approach_and_mw_runs(tmp_path, monke
             assert set(summary.get("oracle", ())) == set(counters), forecaster
 
 
-def test_a_sweep_loads_the_library_before_its_pool_forks(monkeypatch, tmp_path):
-    # Each job notes how many library() calls its process had made when
-    # it started.  A forked worker starts from the parent's count at the
-    # fork, so its first job shows the parent's one preload.  A forecaster
-    # with no compiled mode never needs the library.
+def test_a_sweep_loads_the_library_only_for_a_compiled_forecaster(monkeypatch):
+    # Each library() call notes its pid.  A sweep of a compiled forecaster
+    # loads the library in the calling process and plays every job in C;
+    # a forecaster with no compiled mode never needs the library.
     calls = []
     library = compiled.library
-    monkeypatch.setattr(compiled, "library", lambda: calls.append(1) or library())
-    final_metrics = harness._final_metrics
-    log = tmp_path / "jobs"
-
-    def noted(cfg):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(calls)}\n")
-        return final_metrics(cfg)
-
-    monkeypatch.setattr(harness, "_final_metrics", noted)
-    monkeypatch.setenv("RECAL_THREADS", "2")
+    monkeypatch.setattr(compiled, "library", lambda: calls.append(os.getpid()) or library())
     monkeypatch.setitem(harness.FORECASTERS, "last_point",
                         harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
     for forecaster in harness.FORECASTERS:
         calls.clear()
-        log.unlink(missing_ok=True)
-        harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
-        first = {}
-        for line in log.read_text().splitlines():
-            pid, seen = map(int, line.split())
-            first.setdefault(pid, seen)
-        preload = int(forecaster != "last_point")
-        assert first.pop(os.getpid()) == preload, forecaster
-        assert list(first.values()) == [preload], forecaster
+        result = harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
+        rounds = {job["round"] for job in result.jobs}
+        if forecaster == "last_point":
+            assert (calls, rounds) == ([], {"python"})
+        else:
+            assert calls and set(calls) == {os.getpid()}, forecaster
+            assert rounds == {"python" if library() is None else "compiled"}, forecaster
 
 
 _BUILD = """

@@ -528,8 +528,7 @@ def test_trace_json_bytes_are_pinned(kw, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_sweep_rows_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.setenv("RECAL_THREADS", "1")
+def test_sweep_rows_are_pinned(tmp_path):
     code = cli_main(["sweep", "--T-grid", "32,64,128,256", "--exponent", "0.3333333333333333",
                      "--seeds", "3", "--seed", "2", "--oracle", "noisy_truth:0.2",
                      "--out", str(tmp_path)])
@@ -746,8 +745,7 @@ def test_fit_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_aggregates_match_manual_runs(monkeypatch):
-    monkeypatch.setenv("RECAL_THREADS", "1")
+def test_sweep_aggregates_match_manual_runs():
     base = _cfg(T=1)
     result = sweep(base, [64, 32, 64], seeds=3)
     assert [row.T for row in result.rows] == [32, 64]
@@ -764,8 +762,7 @@ def test_sweep_aggregates_match_manual_runs(monkeypatch):
     assert row.m == 4
 
 
-def test_sweep_slopes_on_synthetic_decay(monkeypatch):
-    monkeypatch.setenv("RECAL_THREADS", "1")
+def test_sweep_slopes_on_synthetic_decay():
     base = _cfg(T=1, exponent=1.0 / 3.0, m=None, seed=0)
     result = sweep(base, [256, 1024, 4096], seeds=4)
     rec = result.slopes["recalibration_rate"]
@@ -776,63 +773,24 @@ def test_sweep_slopes_on_synthetic_decay(monkeypatch):
     }
 
 
-def test_pool_sweep_matches_the_serial_sweep(monkeypatch):
-    # The parent plays one batch and a pool of at most two processes the
-    # others; rows, slopes and jobs (but their wall times) are those of one
-    # process, bit for bit: one seed over eight uneven horizons, three
-    # seeds, and fewer jobs than threads.
-    cases = [(_cfg(T=1, m=None, exponent=1.0 / 3.0), [2 ** k for k in range(5, 13)], 1),
-             (_cfg(T=1, oracle="noisy_truth:0.2"), [32, 64, 256], 3),
-             (_cfg(T=1), [64], 2)]
-    for base, T_grid, seeds in cases:
-        got = {}
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RECAL_THREADS", threads)
-            result = sweep(base, T_grid, seeds)
-            jobs = [{k: v for k, v in job.items() if k != "wall_time_s"} for job in result.jobs]
-            got[threads] = (repr(result.rows), repr(result.slopes), repr(jobs))
-        assert got["2"] == got["1"] == got["3"], (T_grid, seeds)
-
-
-def test_batches_hold_every_job_once_and_balance_by_T():
-    rng = np.random.default_rng(0)
-    for n, workers in ((1, 1), (8, 2), (8, 3), (56, 2), (5, 4), (30, 7)):
-        jobs = [_cfg(T=int(T)) for T in rng.integers(1, 5000, size=n)]
-        batches = harness._batches(jobs, workers)
-        assert len(batches) == workers
-        assert sorted(k for batch in batches for k in batch) == list(range(n))
-        loads = [sum(jobs[k].T for k in batch) for batch in batches]
-        assert max(loads) - min(loads) <= max(job.T for job in jobs), loads
-    # one seed over doubling horizons: every other job to each worker
-    # would give one twice the other's load
-    jobs = [_cfg(T=2 ** k) for k in range(12, 4, -1)]
-    loads = [sum(jobs[k].T for k in batch) for batch in harness._batches(jobs, 2)]
-    assert sorted(loads) == [4064, 4096]
-
-
-def test_a_pool_sweep_plays_each_job_once(monkeypatch, tmp_path):
-    # the parent and the forked worker both call _final_metrics through
-    # the module, so a wrapper bound there sees every job exactly once
-    log = tmp_path / "jobs"
+def test_a_pool_sweep_plays_each_job_once(monkeypatch):
+    # the jobs run in (T, seed) order in this process, each through the
+    # module's _final_metrics, so a wrapper bound there sees every job once
+    played = []
     final_metrics = harness._final_metrics
 
     def logged(cfg):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {cfg.T} {cfg.seed}\n")
+        played.append((os.getpid(), cfg.T, cfg.seed))
         return final_metrics(cfg)
 
     monkeypatch.setattr(harness, "_final_metrics", logged)
-    monkeypatch.setenv("RECAL_THREADS", "2")
-    result = sweep(_cfg(T=1), [32, 64, 128], seeds=3)
-    lines = [line.split() for line in log.read_text().splitlines()]
-    assert sorted((int(T), int(seed)) for _, T, seed in lines) == [
-        (job["T"], job["seed"]) for job in result.jobs]
-    assert len(result.jobs) == 9
-    assert len({pid for pid, _, _ in lines}) == 2
+    result = sweep(_cfg(T=1), [128, 32, 64], seeds=3)
+    assert played == [(os.getpid(), T, seed) for T in (32, 64, 128) for seed in (3, 4, 5)]
+    assert [(job["T"], job["seed"]) for job in result.jobs] == [
+        (T, seed) for _, T, seed in played]
 
 
-def test_sweep_rejects_bad_inputs(monkeypatch):
-    monkeypatch.delenv("RECAL_THREADS", raising=False)
+def test_sweep_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         sweep(_cfg(), [], seeds=3)
     with pytest.raises(ConfigError):
@@ -845,18 +803,11 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
     for seeds in (True, "12", -1, [], [0.5], [5, 9]):
         with pytest.raises(ConfigError):
             sweep(_cfg(), [32], seeds=seeds)
-    monkeypatch.setenv("RECAL_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        sweep(_cfg(), [32], seeds=1)
-    monkeypatch.setenv("RECAL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        sweep(_cfg(), [32], seeds=1)
 
 
 def test_sweep_checks_every_horizon_before_any_job(monkeypatch):
     # m = ceil(4^(1/3)) = 2 is below Brier's least grid, 3; the sweep must
-    # refuse before a job runs, not when the worker reaches T = 4
-    monkeypatch.setenv("RECAL_THREADS", "1")
+    # refuse before a job runs, not when the sweep reaches T = 4
     calls = []
     final_metrics = harness._final_metrics
 
