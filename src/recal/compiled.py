@@ -143,8 +143,9 @@ class Round:
         self._counts = np.array(stats.counts, dtype=np.int64)
         self._label_sums = np.array(stats.label_sums, dtype=np.int64)
         self._uniforms = np.zeros(UNIFORM_BLOCK)
-        # recal_checkpoint's scratch, m+1 doubles, and then its five outputs
-        self._checkpoint = np.empty(cfg.m + 6)
+        # recal_checkpoint's scratch, m+1 doubles, then its five outputs; and both addresses
+        self._checkpoint = work = np.empty(cfg.m + 6)
+        self._checkpoint_addrs = work.ctypes.data, work.ctypes.data + 8 * (cfg.m + 1)
         left = forecaster._uniforms[::-1]
         self._uniforms[:len(left)] = left
         self._s = _Round(
@@ -206,10 +207,8 @@ class Round:
         store."""
         if not self._s.rounds:
             raise ValueError("no rounds recorded")
-        work = self._checkpoint
-        scratch = work.ctypes.data
-        self._lib.checkpoint(self._ref, delta, scratch, scratch + 8 * (len(work) - 5))
-        return work[-5:].tolist()
+        self._lib.checkpoint(self._ref, delta, *self._checkpoint_addrs)
+        return self._checkpoint[-5:].tolist()
 
     def store(self) -> None:
         """Copy the played state back into the forecaster and the

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -85,22 +84,23 @@ class LabelSource:
         self.param = param
         self.rng = rng
         if kind == "periodic":
-            self._pattern = itertools.cycle(param)
+            self._pattern, self._phase = np.array(param, dtype=np.int8), 0
 
     def generate(self, n: int):
-        """(ys, pis): the labels of the next n rounds and the
-        probabilities they were drawn with, for the truth oracles."""
+        """(ys, pis): the labels of the next n rounds (int8) and the
+        probabilities they were drawn with (float64), for the truth oracles."""
         if self.kind == "iid_bernoulli":
             pi = self.param
-            return (self.rng.random(n) < pi).astype(int).tolist(), [pi] * n
-        ys = list(itertools.islice(self._pattern, n))
-        return ys, [float(y) for y in ys]
+            return (self.rng.random(n) < pi).view(np.int8), np.full(n, pi)
+        pattern, phase = self._pattern, self._phase
+        ys = pattern[(phase + np.arange(n)) % len(pattern)]
+        self._phase = (phase + n) % len(pattern)
+        return ys, ys.astype(np.float64)
 
 
 def make_label_stream(spec: str, seed=None) -> LabelSource | None:
     """The label stream of spec, or None for adversarial_greedy, whose
     labels the round picks."""
-    rng = np.random.default_rng(seed)
     kind, _, arg = spec.partition(":")
     if kind == "bernoulli":
         kind = "iid_bernoulli"
@@ -111,11 +111,11 @@ def make_label_stream(spec: str, seed=None) -> LabelSource | None:
             raise ConfigError(f"bad bernoulli parameter {arg!r}") from None
         if not 0.0 <= pi <= 1.0:
             raise ConfigError(f"bernoulli parameter must be in [0, 1], got {pi}")
-        return LabelSource(kind, pi, rng)
+        return LabelSource(kind, pi, np.random.default_rng(seed))
     if kind == "periodic":
         if not arg or any(ch not in "01" for ch in arg):
             raise ConfigError(f"periodic pattern must be a nonempty 0/1 string, got {arg!r}")
-        return LabelSource(kind, [int(ch) for ch in arg], rng)
+        return LabelSource(kind, [int(ch) for ch in arg], None)
     if kind == "adversarial_greedy":
         if arg:
             raise ConfigError("adversarial_greedy takes no parameter")
@@ -132,29 +132,27 @@ class OracleSource:
         self.rng = rng
 
     def quotes(self, n: int, labels, pis):
-        """The quotes of n rounds whose labels and label probabilities
-        are given; noise draws continue the source's generator."""
+        """The quotes, a float64 array, of n rounds whose labels and
+        label probabilities are given; noise draws continue the
+        source's generator."""
         if self.kind == "constant":
-            return [self.param] * n
+            return np.full(n, self.param)
         if self.kind == "clairvoyant":
             beta = self.param
-            y = np.asarray(labels, dtype=float)
-            return ((1.0 - 2.0 * beta) * y + beta).tolist()
+            return (1.0 - 2.0 * beta) * np.asarray(labels, dtype=float) + beta
         if self.kind == "truth":
-            return list(pis)
+            return np.array(pis, dtype=float)
         # noisy_truth
-        pi = np.asarray(pis, dtype=float)
         noise = self.rng.normal(0.0, self.param, size=n)
-        return np.clip(pi + noise, 0.0, 1.0).tolist()
+        return np.clip(np.asarray(pis, dtype=float) + noise, 0.0, 1.0)
 
 
 def make_oracle(spec: str, seed=None) -> OracleSource:
-    rng = np.random.default_rng(seed)
     kind, _, arg = spec.partition(":")
     if kind == "truth":
         if arg:
             raise ConfigError("truth oracle takes no parameter")
-        return OracleSource(kind, None, rng)
+        return OracleSource(kind, None, None)
     if kind in ("clairvoyant", "constant", "noisy_truth"):
         try:
             param = float(arg)
@@ -166,6 +164,7 @@ def make_oracle(spec: str, seed=None) -> OracleSource:
             raise ConfigError(f"constant quote must be in [0, 1], got {param}")
         if kind == "noisy_truth" and not 0.0 <= param < math.inf:
             raise ConfigError(f"noise level must be finite and nonnegative, got {param}")
+        rng = np.random.default_rng(seed) if kind == "noisy_truth" else None
         return OracleSource(kind, param, rng)
     raise ConfigError(f"unknown oracle {kind!r}")
 
@@ -401,17 +400,16 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
 
     for lo in range(0, T, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, T - lo)
-        # Labels are 0 or 1, so bytes() packs them for array('b') in one
-        # C loop; fromlist would check each item as a small int.  The
-        # block's plays, and the adversary's labels, start at 0 and the
-        # round writes them in place.
+        # The blocks go in as bytes: array.frombytes takes a float64
+        # buffer only as uint8.  The block's plays, and the adversary's
+        # labels, start at 0 and the round writes them in place.
         if adversarial:
             # Only a constant oracle quotes without the labels.
             qs, ys = oracle_src.quotes(n, None, None), bytes(n)
         else:
-            labels, pis = labels_src.generate(n)
-            qs, ys = oracle_src.quotes(n, labels, pis), bytes(labels)
-        qs_out.fromlist(qs)
+            ys, pis = labels_src.generate(n)
+            qs = oracle_src.quotes(n, ys, pis)
+        qs_out.frombytes(qs.view(np.uint8))
         ys_out.frombytes(ys)
         ps_out.frombytes(bytes(8 * n))
         t1 = lo

@@ -84,11 +84,27 @@ def test_resolved_m_exactly_one_of_m_and_exponent():
 # ---------------------------------------------------------------------------
 
 
+def _labels(block) -> list:
+    """An int8 label block's values, once its type is checked."""
+    assert isinstance(block, np.ndarray) and block.dtype == np.int8, block
+    return block.tolist()
+
+
+def _bits(block) -> list:
+    """A float64 block's values, bit for bit, once its type is checked."""
+    assert isinstance(block, np.ndarray) and block.dtype == np.float64, block
+    return [v.hex() for v in block.tolist()]
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
 def test_bernoulli_labels_deterministic():
     a = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
     b = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
-    assert a == b
-    assert set(a) <= {0, 1}
+    assert _labels(a) == _labels(b)
+    assert set(_labels(a)) <= {0, 1}
 
 
 def test_bernoulli_alias():
@@ -98,14 +114,15 @@ def test_bernoulli_alias():
 
 
 def test_bernoulli_degenerate():
-    assert make_label_stream("iid_bernoulli:0", seed=0).generate(50)[0] == [0] * 50
-    assert make_label_stream("iid_bernoulli:1", seed=0).generate(50)[0] == [1] * 50
+    assert _labels(make_label_stream("iid_bernoulli:0", seed=0).generate(50)[0]) == [0] * 50
+    assert _labels(make_label_stream("iid_bernoulli:1", seed=0).generate(50)[0]) == [1] * 50
 
 
 def test_periodic_labels():
-    assert make_label_stream("periodic:01").generate(5) == ([0, 1, 0, 1, 0],
-                                                          [0.0, 1.0, 0.0, 1.0, 0.0])
-    assert make_label_stream("periodic:0110").generate(6)[0] == [0, 1, 1, 0, 0, 1]
+    ys, pis = make_label_stream("periodic:01").generate(5)
+    assert _labels(ys) == [0, 1, 0, 1, 0]
+    assert _bits(pis) == _hex([0.0, 1.0, 0.0, 1.0, 0.0])
+    assert _labels(make_label_stream("periodic:0110").generate(6)[0]) == [0, 1, 1, 0, 0, 1]
 
 
 def test_label_streams_keep_their_position():
@@ -120,11 +137,52 @@ def test_label_streams_keep_their_position():
             for n in sizes:
                 block_ys, block_pis = src.generate(n)
                 assert len(block_ys) == len(block_pis) == n
-                ys += block_ys
-                pis += block_pis
-            assert (ys, pis) == make_label_stream(spec, seed=5).generate(sum(sizes)), (
-                spec, sizes)
+                ys += _labels(block_ys)
+                pis += _bits(block_pis)
+            whole_ys, whole_pis = make_label_stream(spec, seed=5).generate(sum(sizes))
+            assert (ys, pis) == (_labels(whole_ys), _bits(whole_pis)), (spec, sizes)
     assert make_label_stream("adversarial_greedy") is None
+
+
+@pytest.mark.parametrize("spec, oracle", [
+    ("iid_bernoulli:0.3", "noisy_truth:0.1"), ("periodic:0110", "clairvoyant:0.2"),
+    ("periodic:011", "truth"), ("periodic:1", "constant:0.4"),
+])
+def test_blocks_are_typed_columns(spec, oracle):
+    # generate(n) gives n int8 labels and n float64 probabilities and
+    # quotes(n, ...) n float64 quotes, each a C-contiguous numpy array,
+    # which run_experiment appends to the trace as bytes.  A periodic
+    # pattern's phase carries across blocks whose sizes are not
+    # multiples of its length.
+    labels_src, oracle_src = make_label_stream(spec, seed=3), make_oracle(oracle, seed=4)
+    ys_all = []
+    for n in (0, 1, 5, 2, 1024, 7):
+        ys, pis = labels_src.generate(n)
+        qs = oracle_src.quotes(n, ys, pis)
+        for block, dtype in ((ys, np.int8), (pis, np.float64), (qs, np.float64)):
+            assert isinstance(block, np.ndarray) and block.dtype == dtype
+            assert block.shape == (n,) and block.flags.c_contiguous
+        ys_all += ys.tolist()
+    if spec.startswith("periodic:"):
+        pattern = [int(ch) for ch in spec.partition(":")[2]]
+        assert ys_all == [pattern[t % len(pattern)] for t in range(len(ys_all))]
+
+
+@pytest.mark.parametrize("labels, oracle, generators", [
+    ("adversarial_greedy", "constant:0.5", 0), ("periodic:01", "clairvoyant:0.2", 0),
+    ("periodic:01", "noisy_truth:0.1", 1), ("iid_bernoulli:0.5", "truth", 1),
+    ("iid_bernoulli:0.5", "noisy_truth:0.1", 2),
+])
+def test_only_sources_that_draw_build_a_generator(monkeypatch, labels, oracle, generators):
+    # iid labels and noisy_truth quotes draw; the other sources build no
+    # generator, and the seed sequence still gives each source its own.
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+    _, labels_src, oracle_src, _ = harness._checked(_cfg(T=8, m=4, labels=labels, oracle=oracle))
+    assert len(made) == generators
+    assert (labels_src is not None and labels_src.rng is not None) == labels.startswith("iid")
+    assert (oracle_src.rng is not None) == oracle.startswith("noisy_truth")
 
 
 @pytest.mark.parametrize(
@@ -143,28 +201,30 @@ def test_label_stream_rejects(spec):
 
 
 def test_clairvoyant_oracle_shrinks_labels():
+    labels = np.array([1, 0, 1], dtype=np.int8)
     src = make_oracle("clairvoyant:0.2")
-    assert src.quotes(3, [1, 0, 1], None) == [0.8, 0.2, 0.8]
+    assert _bits(src.quotes(3, labels, None)) == _hex([0.8, 0.2, 0.8])
     perfect = make_oracle("clairvoyant:0")
-    assert perfect.quotes(3, [1, 0, 1], None) == [1.0, 0.0, 1.0]
+    assert _bits(perfect.quotes(3, labels, None)) == _hex([1.0, 0.0, 1.0])
 
 
 def test_constant_oracle():
-    assert make_oracle("constant:0.5").quotes(4, None, None) == [0.5] * 4
+    assert _bits(make_oracle("constant:0.5").quotes(4, None, None)) == _hex([0.5] * 4)
 
 
 def test_truth_oracle_echoes_schedule():
     src = make_oracle("truth")
-    assert src.quotes(3, [0, 1, 0], [0.3, 0.3, 0.3]) == [0.3, 0.3, 0.3]
+    pis = np.array([0.3, 0.3, 0.3])
+    assert _bits(src.quotes(3, np.array([0, 1, 0], dtype=np.int8), pis)) == _hex(pis)
 
 
 def test_noisy_truth_oracle():
     silent = make_oracle("noisy_truth:0", seed=1)
-    assert silent.quotes(3, None, [0.3, 0.9, 0.5]) == [0.3, 0.9, 0.5]
+    assert _bits(silent.quotes(3, None, np.array([0.3, 0.9, 0.5]))) == _hex([0.3, 0.9, 0.5])
     noisy = make_oracle("noisy_truth:10", seed=1)
-    qs = noisy.quotes(200, None, [0.5] * 200)
+    qs = noisy.quotes(200, None, np.full(200, 0.5))
     assert all(0.0 <= q <= 1.0 for q in qs)
-    assert qs != [0.5] * 200
+    assert _bits(qs) != _hex([0.5] * 200)
 
 
 @pytest.mark.parametrize(
@@ -442,10 +502,10 @@ def test_blocks_reproduce_whole_T_generation(monkeypatch, labels, oracle):
             _, labels_src, oracle_src, _ = harness._checked(cfg)
             ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
             qs = oracle_src.quotes(T, ys, pis)
-            assert [q.hex() for q in blocks.q] == [q.hex() for q in qs], (B, T)
-            assert [q.hex() for q in whole.q] == [q.hex() for q in qs], (B, T)
+            assert [q.hex() for q in blocks.q] == _bits(qs), (B, T)
+            assert [q.hex() for q in whole.q] == _bits(qs), (B, T)
             if ys is not None:
-                assert list(blocks.y) == ys, (B, T)
+                assert list(blocks.y) == _labels(ys), (B, T)
             assert blocks.y == whole.y and blocks.p == whole.p, (B, T)
             assert repr(blocks.checkpoints) == repr(whole.checkpoints), (B, T)
 
@@ -584,7 +644,9 @@ def _public_replay(cfg: ExperimentConfig):
     gcfg, labels_src, oracle_src, ss_forecaster = harness._checked(cfg)
     m, rule, T = gcfg.m, gcfg.rule, cfg.T
     ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
-    qs = oracle_src.quotes(T, ys, pis)
+    # Python floats and ints, as run_experiment's round reads them
+    qs = oracle_src.quotes(T, ys, pis).tolist()
+    ys = None if ys is None else ys.tolist()
     state = RecalibratorState(gcfg, np.random.default_rng(ss_forecaster))
     stats = BucketStats(m)
     delta = default_regret_slack(rule, m)
