@@ -63,7 +63,7 @@ def resolved_m(cfg: ExperimentConfig) -> int:
     if cfg.m is not None:
         if not (_is_int(cfg.m) and cfg.m >= 1):
             raise ConfigError(f"m must be a positive integer, got {cfg.m!r}")
-        return cfg.m
+        return operator.index(cfg.m)
     x = cfg.exponent
     if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and EXPONENT_LO - EXPONENT_TOL <= x <= EXPONENT_HI + EXPONENT_TOL):
@@ -71,51 +71,46 @@ def resolved_m(cfg: ExperimentConfig) -> int:
     return math.ceil(cfg.T ** (1.0 - 2.0 * x))
 
 
-class LabelSource:
-    """An iid Bernoulli or periodic label stream.
+def _number(kind: str, arg: str, ok, must: str) -> float:
+    """arg as a float x with ok(x) true; otherwise ConfigError, saying
+    what x must be."""
+    try:
+        x = float(arg)
+    except ValueError:
+        raise ConfigError(f"bad {kind} parameter {arg!r}") from None
+    if not ok(x):
+        raise ConfigError(f"{must}, got {x}")
+    return x
+
+
+def make_label_stream(spec: str, seed=None):
+    """The label stream of spec, a function generate(n) -> (ys, pis): the
+    labels of the next n rounds (int8) and the probabilities they were
+    drawn with (float64), for the truth oracles.  None for
+    adversarial_greedy, whose labels the round picks.
 
     The stream keeps its own position: iid draws continue its generator
-    and a periodic pattern its phase, so consecutive generate calls give
-    the labels of one call for all their rounds.
+    and a periodic pattern its phase, so consecutive calls give the
+    labels of one call for all their rounds.
     """
-
-    def __init__(self, kind: str, param, rng):
-        self.kind = kind
-        self.param = param
-        self.rng = rng
-        if kind == "periodic":
-            self._pattern, self._phase = np.array(param, dtype=np.int8), 0
-
-    def generate(self, n: int):
-        """(ys, pis): the labels of the next n rounds (int8) and the
-        probabilities they were drawn with (float64), for the truth oracles."""
-        if self.kind == "iid_bernoulli":
-            pi = self.param
-            return (self.rng.random(n) < pi).view(np.int8), np.full(n, pi)
-        pattern, phase = self._pattern, self._phase
-        ys = pattern[(phase + np.arange(n)) % len(pattern)]
-        self._phase = (phase + n) % len(pattern)
-        return ys, ys.astype(np.float64)
-
-
-def make_label_stream(spec: str, seed=None) -> LabelSource | None:
-    """The label stream of spec, or None for adversarial_greedy, whose
-    labels the round picks."""
     kind, _, arg = spec.partition(":")
-    if kind == "bernoulli":
-        kind = "iid_bernoulli"
-    if kind == "iid_bernoulli":
-        try:
-            pi = float(arg)
-        except ValueError:
-            raise ConfigError(f"bad bernoulli parameter {arg!r}") from None
-        if not 0.0 <= pi <= 1.0:
-            raise ConfigError(f"bernoulli parameter must be in [0, 1], got {pi}")
-        return LabelSource(kind, pi, np.random.default_rng(seed))
+    if kind in ("iid_bernoulli", "bernoulli"):
+        pi = _number("bernoulli", arg, lambda x: 0.0 <= x <= 1.0,
+                     "bernoulli parameter must be in [0, 1]")
+        rng = np.random.default_rng(seed)
+        return lambda n: ((rng.random(n) < pi).view(np.int8), np.full(n, pi))
     if kind == "periodic":
         if not arg or any(ch not in "01" for ch in arg):
             raise ConfigError(f"periodic pattern must be a nonempty 0/1 string, got {arg!r}")
-        return LabelSource(kind, [int(ch) for ch in arg], None)
+        pattern, phase = np.array([int(ch) for ch in arg], dtype=np.int8), 0
+
+        def periodic(n: int):
+            nonlocal phase
+            ys = pattern[(phase + np.arange(n)) % len(pattern)]
+            phase = (phase + n) % len(pattern)
+            return ys, ys.astype(np.float64)
+
+        return periodic
     if kind == "adversarial_greedy":
         if arg:
             raise ConfigError("adversarial_greedy takes no parameter")
@@ -123,49 +118,28 @@ def make_label_stream(spec: str, seed=None) -> LabelSource | None:
     raise ConfigError(f"unknown label stream {kind!r}")
 
 
-class OracleSource:
-    """Produces the quote sequence, given labels where applicable."""
-
-    def __init__(self, kind: str, param, rng):
-        self.kind = kind
-        self.param = param
-        self.rng = rng
-
-    def quotes(self, n: int, labels, pis):
-        """The quotes, a float64 array, of n rounds whose labels and
-        label probabilities are given; noise draws continue the
-        source's generator."""
-        if self.kind == "constant":
-            return np.full(n, self.param)
-        if self.kind == "clairvoyant":
-            beta = self.param
-            return (1.0 - 2.0 * beta) * np.asarray(labels, dtype=float) + beta
-        if self.kind == "truth":
-            return np.array(pis, dtype=float)
-        # noisy_truth
-        noise = self.rng.normal(0.0, self.param, size=n)
-        return np.clip(np.asarray(pis, dtype=float) + noise, 0.0, 1.0)
-
-
-def make_oracle(spec: str, seed=None) -> OracleSource:
+def make_oracle(spec: str, seed=None):
+    """The quote source of spec, a function quotes(n, ys, pis): the
+    float64 quotes of n rounds whose labels and label probabilities are
+    given.  Noise draws continue the source's generator."""
     kind, _, arg = spec.partition(":")
+    if kind == "constant":
+        c = _number(kind, arg, lambda x: 0.0 <= x <= 1.0, "constant quote must be in [0, 1]")
+        return lambda n, ys, pis: np.full(n, c)
+    if kind == "clairvoyant":
+        beta = _number(kind, arg, lambda x: 0.0 <= x <= 0.5,
+                       "clairvoyant shrinkage must be in [0, 0.5]")
+        return lambda n, ys, pis: (1.0 - 2.0 * beta) * np.asarray(ys, dtype=float) + beta
     if kind == "truth":
         if arg:
             raise ConfigError("truth oracle takes no parameter")
-        return OracleSource(kind, None, None)
-    if kind in ("clairvoyant", "constant", "noisy_truth"):
-        try:
-            param = float(arg)
-        except ValueError:
-            raise ConfigError(f"bad {kind} parameter {arg!r}") from None
-        if kind == "clairvoyant" and not 0.0 <= param <= 0.5:
-            raise ConfigError(f"clairvoyant shrinkage must be in [0, 0.5], got {param}")
-        if kind == "constant" and not 0.0 <= param <= 1.0:
-            raise ConfigError(f"constant quote must be in [0, 1], got {param}")
-        if kind == "noisy_truth" and not 0.0 <= param < math.inf:
-            raise ConfigError(f"noise level must be finite and nonnegative, got {param}")
-        rng = np.random.default_rng(seed) if kind == "noisy_truth" else None
-        return OracleSource(kind, param, rng)
+        return lambda n, ys, pis: np.array(pis, dtype=float)
+    if kind == "noisy_truth":
+        sigma = _number(kind, arg, lambda x: 0.0 <= x < math.inf,
+                        "noise level must be finite and nonnegative")
+        rng = np.random.default_rng(seed)
+        return lambda n, ys, pis: np.clip(np.asarray(pis, dtype=float)
+                                          + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
     raise ConfigError(f"unknown oracle {kind!r}")
 
 
@@ -325,7 +299,7 @@ def _checked(cfg: ExperimentConfig):
     ss_labels, ss_oracle, ss_forecaster = np.random.SeedSequence(cfg.seed).spawn(3)
     labels_src = make_label_stream(cfg.labels, ss_labels)
     oracle_src = make_oracle(cfg.oracle, ss_oracle)
-    if labels_src is None and oracle_src.kind != "constant":
+    if labels_src is None and cfg.oracle.partition(":")[0] != "constant":
         raise ConfigError(
             "adversarial_greedy labels are only defined against a constant oracle; "
             "other oracles would peek at labels chosen after their quotes")
@@ -381,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     t_start = time.perf_counter()
     gcfg, labels_src, oracle_src, ss_forecaster = _checked(cfg)
     rule, m = gcfg.rule, gcfg.m
-    T = cfg.T
+    T = operator.index(cfg.T)
     adversarial = labels_src is None
 
     trace = Trace(config=cfg, m=m, game=gcfg)
@@ -405,10 +379,10 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         # labels, start at 0 and the round writes them in place.
         if adversarial:
             # Only a constant oracle quotes without the labels.
-            qs, ys = oracle_src.quotes(n, None, None), bytes(n)
+            qs, ys = oracle_src(n, None, None), bytes(n)
         else:
-            ys, pis = labels_src.generate(n)
-            qs = oracle_src.quotes(n, ys, pis)
+            ys, pis = labels_src(n)
+            qs = oracle_src(n, ys, pis)
         qs_out.frombytes(qs.view(np.uint8))
         ys_out.frombytes(ys)
         ps_out.frombytes(bytes(8 * n))

@@ -101,32 +101,37 @@ def _hex(values) -> list:
 
 
 def test_bernoulli_labels_deterministic():
-    a = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
-    b = make_label_stream("iid_bernoulli:0.5", seed=7).generate(100)[0]
+    a = make_label_stream("iid_bernoulli:0.5", seed=7)(100)[0]
+    b = make_label_stream("iid_bernoulli:0.5", seed=7)(100)[0]
     assert _labels(a) == _labels(b)
     assert set(_labels(a)) <= {0, 1}
 
 
 def test_bernoulli_alias():
-    a = make_label_stream("bernoulli:0.3", seed=7)
-    assert a.kind == "iid_bernoulli"
-    assert a.param == 0.3
+    # bernoulli:pi is iid_bernoulli:pi: the same labels at one seed, and
+    # pi as every round's probability, across uneven blocks.
+    alias = make_label_stream("bernoulli:0.3", seed=7)
+    src = make_label_stream("iid_bernoulli:0.3", seed=7)
+    for n in (1, 5, 1023, 2):
+        (alias_ys, alias_pis), (ys, pis) = alias(n), src(n)
+        assert _labels(alias_ys) == _labels(ys)
+        assert _bits(alias_pis) == _bits(pis) == _hex([0.3] * n)
 
 
 def test_bernoulli_degenerate():
-    assert _labels(make_label_stream("iid_bernoulli:0", seed=0).generate(50)[0]) == [0] * 50
-    assert _labels(make_label_stream("iid_bernoulli:1", seed=0).generate(50)[0]) == [1] * 50
+    assert _labels(make_label_stream("iid_bernoulli:0", seed=0)(50)[0]) == [0] * 50
+    assert _labels(make_label_stream("iid_bernoulli:1", seed=0)(50)[0]) == [1] * 50
 
 
 def test_periodic_labels():
-    ys, pis = make_label_stream("periodic:01").generate(5)
+    ys, pis = make_label_stream("periodic:01")(5)
     assert _labels(ys) == [0, 1, 0, 1, 0]
     assert _bits(pis) == _hex([0.0, 1.0, 0.0, 1.0, 0.0])
-    assert _labels(make_label_stream("periodic:0110").generate(6)[0]) == [0, 1, 1, 0, 0, 1]
+    assert _labels(make_label_stream("periodic:0110")(6)[0]) == [0, 1, 1, 0, 0, 1]
 
 
 def test_label_streams_keep_their_position():
-    # A stream continues where its last generate call stopped: uneven
+    # A stream continues where its last call stopped: uneven
     # consecutive calls give the labels and label probabilities of one
     # call for all their rounds.  adversarial_greedy has no stream, as
     # the round picks its labels.
@@ -135,11 +140,11 @@ def test_label_streams_keep_their_position():
             src = make_label_stream(spec, seed=5)
             ys, pis = [], []
             for n in sizes:
-                block_ys, block_pis = src.generate(n)
+                block_ys, block_pis = src(n)
                 assert len(block_ys) == len(block_pis) == n
                 ys += _labels(block_ys)
                 pis += _bits(block_pis)
-            whole_ys, whole_pis = make_label_stream(spec, seed=5).generate(sum(sizes))
+            whole_ys, whole_pis = make_label_stream(spec, seed=5)(sum(sizes))
             assert (ys, pis) == (_labels(whole_ys), _bits(whole_pis)), (spec, sizes)
     assert make_label_stream("adversarial_greedy") is None
 
@@ -149,16 +154,16 @@ def test_label_streams_keep_their_position():
     ("periodic:011", "truth"), ("periodic:1", "constant:0.4"),
 ])
 def test_blocks_are_typed_columns(spec, oracle):
-    # generate(n) gives n int8 labels and n float64 probabilities and
-    # quotes(n, ...) n float64 quotes, each a C-contiguous numpy array,
+    # A label stream gives n int8 labels and n float64 probabilities and
+    # a quote source n float64 quotes, each a C-contiguous numpy array,
     # which run_experiment appends to the trace as bytes.  A periodic
     # pattern's phase carries across blocks whose sizes are not
     # multiples of its length.
     labels_src, oracle_src = make_label_stream(spec, seed=3), make_oracle(oracle, seed=4)
     ys_all = []
     for n in (0, 1, 5, 2, 1024, 7):
-        ys, pis = labels_src.generate(n)
-        qs = oracle_src.quotes(n, ys, pis)
+        ys, pis = labels_src(n)
+        qs = oracle_src(n, ys, pis)
         for block, dtype in ((ys, np.int8), (pis, np.float64), (qs, np.float64)):
             assert isinstance(block, np.ndarray) and block.dtype == dtype
             assert block.shape == (n,) and block.flags.c_contiguous
@@ -179,16 +184,18 @@ def test_only_sources_that_draw_build_a_generator(monkeypatch, labels, oracle, g
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
-    _, labels_src, oracle_src, _ = harness._checked(_cfg(T=8, m=4, labels=labels, oracle=oracle))
+    harness._checked(_cfg(T=8, m=4, labels=labels, oracle=oracle, seed=3))
     assert len(made) == generators
-    assert (labels_src is not None and labels_src.rng is not None) == labels.startswith("iid")
-    assert (oracle_src.rng is not None) == oracle.startswith("noisy_truth")
+    # each generator is built from its source's child of SeedSequence(3):
+    # child 0 for the labels, child 1 for the oracle
+    children = [0] * labels.startswith("iid") + [1] * oracle.startswith("noisy_truth")
+    assert [(ss.entropy, ss.spawn_key) for ss, in made] == [(3, (k,)) for k in children]
 
 
 @pytest.mark.parametrize(
     "spec",
-    ["iid_bernoulli:1.5", "iid_bernoulli:x", "periodic:", "periodic:012",
-     "adversarial_greedy:3", "weather"],
+    ["iid_bernoulli:1.5", "iid_bernoulli:x", "iid_bernoulli:nan", "bernoulli:", "periodic:",
+     "periodic:012", "adversarial_greedy:3", "weather"],
 )
 def test_label_stream_rejects(spec):
     with pytest.raises(ConfigError):
@@ -203,33 +210,34 @@ def test_label_stream_rejects(spec):
 def test_clairvoyant_oracle_shrinks_labels():
     labels = np.array([1, 0, 1], dtype=np.int8)
     src = make_oracle("clairvoyant:0.2")
-    assert _bits(src.quotes(3, labels, None)) == _hex([0.8, 0.2, 0.8])
+    assert _bits(src(3, labels, None)) == _hex([0.8, 0.2, 0.8])
     perfect = make_oracle("clairvoyant:0")
-    assert _bits(perfect.quotes(3, labels, None)) == _hex([1.0, 0.0, 1.0])
+    assert _bits(perfect(3, labels, None)) == _hex([1.0, 0.0, 1.0])
 
 
 def test_constant_oracle():
-    assert _bits(make_oracle("constant:0.5").quotes(4, None, None)) == _hex([0.5] * 4)
+    assert _bits(make_oracle("constant:0.5")(4, None, None)) == _hex([0.5] * 4)
 
 
 def test_truth_oracle_echoes_schedule():
     src = make_oracle("truth")
     pis = np.array([0.3, 0.3, 0.3])
-    assert _bits(src.quotes(3, np.array([0, 1, 0], dtype=np.int8), pis)) == _hex(pis)
+    assert _bits(src(3, np.array([0, 1, 0], dtype=np.int8), pis)) == _hex(pis)
 
 
 def test_noisy_truth_oracle():
     silent = make_oracle("noisy_truth:0", seed=1)
-    assert _bits(silent.quotes(3, None, np.array([0.3, 0.9, 0.5]))) == _hex([0.3, 0.9, 0.5])
+    assert _bits(silent(3, None, np.array([0.3, 0.9, 0.5]))) == _hex([0.3, 0.9, 0.5])
     noisy = make_oracle("noisy_truth:10", seed=1)
-    qs = noisy.quotes(200, None, np.full(200, 0.5))
+    qs = noisy(200, None, np.full(200, 0.5))
     assert all(0.0 <= q <= 1.0 for q in qs)
     assert _bits(qs) != _hex([0.5] * 200)
 
 
 @pytest.mark.parametrize(
     "spec", ["clairvoyant:0.6", "clairvoyant:-0.1", "constant:2", "noisy_truth:-1",
-             "truth:0.5", "oracle_of_delphi", "noisy_truth:nan", "noisy_truth:inf"],
+             "truth:0.5", "oracle_of_delphi", "noisy_truth:nan", "noisy_truth:inf",
+             "constant:nan", "constant:", "clairvoyant:nan"],
 )
 def test_oracle_rejects(spec):
     with pytest.raises(ConfigError):
@@ -458,6 +466,20 @@ def test_run_is_deterministic():
     assert a.checkpoints == b.checkpoints
 
 
+@pytest.mark.parametrize("forecaster", sorted(harness.FORECASTERS))
+@pytest.mark.parametrize("int_type", [np.int64, np.int32, np.int16])
+def test_numpy_integers_run_as_python_ints(forecaster, int_type):
+    # _checked accepts numpy integers for T, m and seed; the run they
+    # give is the Python-int run, byte for byte, checkpoints included.
+    want = run_experiment(_cfg(T=100, m=8, seed=3, forecaster=forecaster))
+    got = run_experiment(_cfg(T=int_type(100), m=int_type(8), seed=int_type(3),
+                              forecaster=forecaster))
+    assert (got.q.tobytes(), got.p.tobytes(), got.y.tobytes()) == \
+        (want.q.tobytes(), want.p.tobytes(), want.y.tobytes())
+    assert repr(got.checkpoints) == repr(want.checkpoints)
+    assert got.m == want.m and type(got.m) is int
+
+
 def test_run_seed_changes_draws():
     a = run_experiment(_cfg())
     b = run_experiment(_cfg(seed=4))
@@ -489,7 +511,7 @@ BLOCK_KINDS = [(labels, oracle)
 @pytest.mark.parametrize("labels, oracle", BLOCK_KINDS)
 def test_blocks_reproduce_whole_T_generation(monkeypatch, labels, oracle):
     # run_experiment makes quotes and labels BLOCK_ROUNDS rounds at a time;
-    # whole-T generation, the generate(T) and quotes(T, ...) calls, is its
+    # whole-T generation, one call of each source for all T rounds, is its
     # oracle: the same q bits, labels, forecasts and checkpoints.  A block
     # of 3 rounds also moves every periodic pattern's phase.
     for B in (harness.BLOCK_ROUNDS, 3):
@@ -500,8 +522,8 @@ def test_blocks_reproduce_whole_T_generation(monkeypatch, labels, oracle):
             monkeypatch.setattr(harness, "BLOCK_ROUNDS", T)
             whole = run_experiment(cfg)
             _, labels_src, oracle_src, _ = harness._checked(cfg)
-            ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
-            qs = oracle_src.quotes(T, ys, pis)
+            ys, pis = (None, None) if labels_src is None else labels_src(T)
+            qs = oracle_src(T, ys, pis)
             assert [q.hex() for q in blocks.q] == _bits(qs), (B, T)
             assert [q.hex() for q in whole.q] == _bits(qs), (B, T)
             if ys is not None:
@@ -643,9 +665,9 @@ def _public_replay(cfg: ExperimentConfig):
     round's theta, whose counts are summed."""
     gcfg, labels_src, oracle_src, ss_forecaster = harness._checked(cfg)
     m, rule, T = gcfg.m, gcfg.rule, cfg.T
-    ys, pis = (None, None) if labels_src is None else labels_src.generate(T)
+    ys, pis = (None, None) if labels_src is None else labels_src(T)
     # Python floats and ints, as run_experiment's round reads them
-    qs = oracle_src.quotes(T, ys, pis).tolist()
+    qs = oracle_src(T, ys, pis).tolist()
     ys = None if ys is None else ys.tolist()
     state = RecalibratorState(gcfg, np.random.default_rng(ss_forecaster))
     stats = BucketStats(m)

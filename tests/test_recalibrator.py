@@ -186,6 +186,7 @@ _OPTIMIZED_CHECKS = """
 import sys
 import numpy as np
 from recal.geometry import HalfspaceParam, game_config
+from recal.harness import ConfigError, make_label_stream, make_oracle
 from recal.metrics import BucketStats
 from recal.recalibrator import RecalibratorState, _state_at, approach_with_cost
 from recal.scoring import brier, score_pair
@@ -200,6 +201,9 @@ for call, exc in (
      RuntimeError),
     (lambda: BucketStats(4).record(0.5, 0.5, 2, cfg.rule), ValueError),
     (lambda: state.observe(0.5, 2), ValueError),
+    (lambda: make_label_stream("periodic:012"), ConfigError),
+    (lambda: make_oracle("noisy_truth:inf"), ConfigError),
+    (lambda: make_oracle("constant:nan"), ConfigError),
 ):
     try:
         call()
