@@ -9,14 +9,12 @@ override defaults, unknown keys are rejected.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import string
 import sys
 import time
 from dataclasses import MISSING, asdict, astuple, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,73 +122,43 @@ def _note_fallback(exp: ExperimentConfig) -> None:
               f"{exp.forecaster}", file=sys.stderr)
 
 
-def _template(row: str) -> tuple:
-    """A row in str.format syntax as alternating literal texts and field
-    numbers."""
-    pieces = []
-    for literal, field_name, _, _ in string.Formatter().parse(row):
-        if literal:
-            pieces.append(literal)
-        if field_name is not None:
-            pieces.append(int(field_name))
-    return tuple(pieces)
+def _csv_row(cells) -> str:
+    return ",".join(cells) + "\n"
+
+
+# TRACE_HEADER's indices in the order of its sorted keys
+_JSON_ORDER = sorted(range(len(TRACE_HEADER)), key=TRACE_HEADER.__getitem__)
 
 
 def _json_row(cells) -> str:
-    fields = sorted(zip(TRACE_HEADER, cells))
-    return (",\n  {{\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in fields)
-            + "\n  }}")
+    return ("  {\n" + ",\n".join([f'    "{TRACE_HEADER[k]}": {cells[k]}' for k in _JSON_ORDER])
+            + "\n  }")
 
 
 class _TraceFormat(NamedTuple):
     """How a trace file spells its rows.
 
-    plain and full are row templates whose fields 0-7 are the columns of
-    TRACE_HEADER: plain has the four empty checkpoint cells baked in,
-    full is the checkpoint row.  Every row starts with sep, which the
-    file's first row drops.
+    row spells one row from the texts of its cells, in TRACE_HEADER's
+    order; a row that is not a checkpoint has empty for each of its four
+    checkpoint cells.  Every row starts with sep, which the file's first
+    row drops.  loose is the order in which a row spells t (0) and q (1).
     """
 
     head: str
     sep: str
-    plain: tuple
-    full: tuple
     foot: str
+    row: Callable[[Sequence[str]], str]
+    empty: str
+    loose: tuple
 
 
-_FIELDS = tuple(f"{{{k}}}" for k in range(len(TRACE_HEADER)))
 _TRACE_FORMATS = {
-    "csv": _TraceFormat(",".join(TRACE_HEADER) + "\n", "",
-                        _template(",".join(_FIELDS[:4] + ("",) * 4) + "\n"),
-                        _template(",".join(_FIELDS) + "\n"), ""),
-    "json": _TraceFormat("[\n", ",\n", _template(_json_row(_FIELDS[:4] + ("null",) * 4)),
-                         _template(_json_row(_FIELDS)), "\n]\n"),
+    "csv": _TraceFormat(_csv_row(TRACE_HEADER), "", "", _csv_row, "", (0, 1)),
+    "json": _TraceFormat("[\n", ",\n", "\n]\n", _json_row, "null", (1, 0)),
 }
 # Rows per block of a trace file: a block's text and cell lists are all
 # the writer holds, whatever T is.
 TRACE_BLOCK_ROWS = 1024
-
-
-def _spell(template, cells, n: int) -> list:
-    """The n texts of template, field k of the i-th from cells[k][i]; a
-    template without fields gives n copies of its text."""
-    return list(map("".join, zip(itertools.repeat("", n), *[
-        itertools.repeat(piece) if isinstance(piece, str) else cells[piece]
-        for piece in template])))
-
-
-def _cut(template, loose):
-    """template cut at the fields in loose: the runs of pieces between
-    them, and the loose fields in the order they come."""
-    runs, order, run = [], [], []
-    for piece in template:
-        if piece in loose:
-            runs.append(run)
-            order.append(piece)
-            run = []
-        else:
-            run.append(piece)
-    return runs + [run], order
 
 
 def _distinct(bits):
@@ -203,12 +171,12 @@ def _block_text(spec: _TraceFormat, trace, lo: int, hi: int) -> str:
     """The text of trace's rows lo + 1 to hi.
 
     Each row is keyed by the bit patterns of its cells (so -0.0 and 0.0,
-    or a p off the grid, keep their own text), and the plain template's
-    text between its loose fields is spelled once per distinct key.  t
+    or a p off the grid, keep their own text), and spelled once per
+    distinct key with a stand-in in each loose cell, then cut there.  t
     is always loose.  When the block's quotes repeat (a distinct quote
     per four rows at most) the key is (q, p, y); otherwise q is loose
     too, spelled by repr in every row, and the key is (p, y).
-    Checkpoint rows take the full template.
+    Checkpoint rows are spelled whole.
     """
     n = hi - lo
     # Views of copies: no buffer of trace's own columns is exported, so
@@ -221,7 +189,7 @@ def _block_text(spec: _TraceFormat, trace, lo: int, hi: int) -> str:
     if 4 * len(quotes) <= n:
         loose, key = (0,), np.searchsorted(quotes, qbits)
     else:
-        loose, key = (0, 1), 0
+        loose, key = spec.loose, 0
     plays = _distinct(pbits)
     # a label's byte is its own code
     key = (key * len(plays) + np.searchsorted(plays, pbits)) * 256 + y.view(np.uint8)
@@ -231,24 +199,25 @@ def _block_text(spec: _TraceFormat, trace, lo: int, hi: int) -> str:
     # Every cell is an int or a finite float: q lies in [0, 1], p is a
     # grid point and the metrics are bounded sums.  For those repr
     # writes the same text as json.dumps, so one encoder serves both
-    # formats.
-    cells = [None] + [list(map(repr, col[some_row].tolist())) for col in (q, p, y)]
-    runs, order = _cut(spec.plain, loose)
-    width = 2 * len(order) + 1
+    # formats.  No repr holds the stand-in "\0".
+    stand_in = ["\0"] * len(keys)
+    cells = [stand_in] + [stand_in if k in loose else list(map(repr, col[some_row].tolist()))
+                          for k, col in enumerate((q, p, y), 1)]
+    empty = (spec.empty,) * 4
+    texts = [(spec.sep + spec.row(row + empty)).split("\0") for row in zip(*cells)]
+    width = 2 * len(loose) + 1
     pieces = [None] * (width * n)
-    for k, run in enumerate(runs):
-        texts = np.array(_spell(run, cells, len(keys)), dtype=object)
-        pieces[2 * k::width] = texts[row_key].tolist()
-    for k, field in enumerate(order):
-        pieces[2 * k + 1::width] = map(repr, range(lo + 1, hi + 1) if field == 0
-                                       else q.tolist())
+    for k, run in enumerate(zip(*texts)):
+        pieces[2 * k::width] = np.array(run, dtype=object)[row_key].tolist()
+    for k, cell in enumerate(loose):
+        pieces[2 * k + 1::width] = map(repr, q.tolist() if cell else range(lo + 1, hi + 1))
     for c in trace.checkpoints:
         if lo < c.t <= hi:
-            row = [[repr(v)] for v in (c.t, trace.q[c.t - 1], trace.p[c.t - 1],
-                                       trace.y[c.t - 1], c.calib_l1, c.average_regret,
-                                       c.recalibration_rate, c.dist_to_target)]
+            row = [repr(v) for v in (c.t, trace.q[c.t - 1], trace.p[c.t - 1], trace.y[c.t - 1],
+                                     c.calib_l1, c.average_regret, c.recalibration_rate,
+                                     c.dist_to_target)]
             r = width * (c.t - lo - 1)
-            pieces[r:r + width] = _spell(spec.full, row, 1) + [""] * (width - 1)
+            pieces[r:r + width] = [spec.sep + spec.row(row)] + [""] * (width - 1)
     return "".join(pieces)
 
 
@@ -314,8 +283,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, f"sweep.{fmt}")
     if fmt == "csv":
-        text = "".join(",".join(map(repr, astuple(row))) + "\n" for row in result.rows)
-        _atomic_write(rows_path, [",".join(SWEEP_HEADER) + "\n" + text])
+        _atomic_write(rows_path, [_csv_row(SWEEP_HEADER)]
+                      + [_csv_row(map(repr, astuple(row))) for row in result.rows])
     else:
         _atomic_write(rows_path, [_json_text([asdict(r) for r in result.rows])])
 
@@ -340,6 +309,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     scale = 1 if args.quick else 10
     m_max, updates = (4, 20) if args.quick else (10, 100)
     suites = (

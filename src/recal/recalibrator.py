@@ -51,6 +51,8 @@ def approach_with_cost(cfg: GameConfig, theta: HalfspaceParam, q: float):
     counter gives the count (the play's sampled index is dropped)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"forecast must lie in [0, 1], got {q}")
+    if np.shape(theta.a) != (cfg.m + 1,):
+        raise ValueError(f"theta.a must have shape ({cfg.m + 1},), got {np.shape(theta.a)}")
     if not (np.all(np.abs(theta.a) <= 1.0) and 0.0 <= theta.b <= 1.0):
         raise ValueError("theta must lie in K: |a_i| <= 1 and 0 <= b <= 1")
     state = _state_at(cfg, theta.a, theta.b)

@@ -171,6 +171,15 @@ def _edge_trace(name):
         q = [(0.2, 0.6, 0.6)[t % 3] for t in range(1024)] + [t / 2048 for t in range(1024)]
         return _column_trace(q, [(t * t % 5) / 4 for t in range(2048)],
                              [int(t % 3 == 1) for t in range(2048)])
+    if name == "quote_threshold":
+        # 1,024 rows of 256 distinct quotes, the most for which q is keyed,
+        # then 1,024 rows of 257, the fewest for which it is loose; each
+        # block has a checkpoint row before its last
+        q = [t % 256 / 256 for t in range(1024)] + [t % 257 / 257 for t in range(1024)]
+        trace = _column_trace(q, [(t * t % 5) / 4 for t in range(2048)],
+                              [int(t % 5 < 2) for t in range(2048)])
+        trace.checkpoints.insert(-1, harness.CheckpointMetrics(1500, 0.5, 0.0, -0.0, 1e-300, 0.25))
+        return trace
     if name == "signed_zeros":
         return _column_trace([(0.0, -0.0, 0.5)[t % 3] for t in range(40)],
                              [(-0.0, 0.0)[t % 7 < 3] for t in range(40)], [t % 2 for t in range(40)])
@@ -205,12 +214,14 @@ def test_trace_blocks_match_whole_file_formatters(monkeypatch, forecaster, label
         _assert_blocks_match(monkeypatch, _matrix_trace(forecaster, labels, oracle, T), T)
 
 
-@pytest.mark.parametrize("name", ["m300", "repeated_then_distinct", "signed_zeros", "off_grid"])
+@pytest.mark.parametrize("name", ["m300", "repeated_then_distinct", "quote_threshold",
+                                  "signed_zeros", "off_grid"])
 def test_trace_blocks_match_whole_file_formatters_on_edge_traces(monkeypatch, name):
     # Rows are keyed by the bits of their cells: blocks whose quotes repeat
-    # and blocks whose quotes do not, more grid points than a block has
-    # rows, 0.0 beside -0.0 in one block of q and of p, and plays off the
-    # grid each keep their own text.
+    # and blocks whose quotes do not, on either side of the threshold
+    # between them, more grid points than a block has rows, 0.0 beside
+    # -0.0 in one block of q and of p, and plays off the grid each keep
+    # their own text.
     _assert_blocks_match(monkeypatch, _edge_trace(name), name)
 
 
@@ -495,6 +506,14 @@ def test_verify_quick_reports_known_failure(capsys):
     assert statuses["mw_dp_consistency"].startswith("PASS")
     assert statuses["nearest_grid_regret"].startswith("FAIL")
     assert statuses["label_averaged_rounding"].startswith("PASS")
+
+
+def test_verify_refuses_a_negative_seed_before_any_suite(capsys):
+    # numpy used to refuse it mid-run without naming the flag
+    assert cli.main(["verify", "--quick", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+    assert captured.out == ""
 
 
 # What each passing suite checks, and a broken stand-in for it inside

@@ -164,6 +164,16 @@ def test_approach_rejects_theta_outside_K(a0, b):
         approach_with_cost(cfg, theta, 0.4)
 
 
+@pytest.mark.parametrize("a", [np.full(4, 0.5), np.full(6, 0.5), np.full((5, 1), 0.5),
+                               np.float64(0.5)])
+def test_approach_rejects_theta_a_without_m_plus_1_entries(a):
+    # At m = 4 an a of 4 or 6 entries used to be answered as if it had 5,
+    # and a (5, 1) array raised TypeError.
+    cfg = game_config(4, brier())
+    with pytest.raises(ValueError, match=r"theta.a must have shape \(5,\)"):
+        approach_with_cost(cfg, HalfspaceParam(a, 0.5), 0.3)
+
+
 def test_approach_accepts_the_faces_of_K():
     cfg = game_config(4, brier())
     theta = HalfspaceParam(np.array([-1.0, 1.0, -1.0, 1.0, 1.0]), 1.0)
@@ -197,6 +207,7 @@ state = RecalibratorState(cfg, 0)
 state.predict(0.5)
 for call, exc in (
     (lambda: approach_with_cost(cfg, HalfspaceParam(np.zeros(5), -1.0), 0.5), ValueError),
+    (lambda: approach_with_cost(cfg, HalfspaceParam(np.zeros(4), 0.5), 0.5), ValueError),
     (lambda: _state_at(cfg, [0.0] * 5, -1.0).play(0.5, score_pair(cfg.rule, 0.5)),
      RuntimeError),
     (lambda: BucketStats(4).record(0.5, 0.5, 2, cfg.rule), ValueError),
