@@ -12,7 +12,7 @@
  *     oracle's theta = 0 shortcut, geometry.nearest_grid_index, and the
  *     update is geometry.add_payoff's formula with no step.
  *   - mw (RECAL_MW): mw_recalibrator._shares and mw_choose, the inverse-CDF
- *     sample of harness._MWForecaster.play, which draws a uniform every
+ *     sample of mw_recalibrator.MWState.play, which draws a uniform every
  *     round, then the payoff and mw_update.  log_a's sum is numpy's
  *     pairwise sum, so that _shares' float(log_a.sum()) is matched.
  *   - adversarial = 1: the label is the adversary's, read off the live

@@ -115,8 +115,8 @@ class Round:
     plays.
 
     The caller names the mode, from harness.FORECASTERS: APPROACH plays
-    a RecalibratorState, MW a forecaster whose state is an MWState, and
-    PASSTHROUGH a PayoffLedger at theta 0; any other mode is refused.
+    a RecalibratorState, MW an MWState, and PASSTHROUGH a PayoffLedger
+    at theta 0; any other mode is refused.
     With adversarial the greedy adversary picks each label and the
     function writes it into the label column; it carries the ledger's
     running l1 norm from 0, so the ledger must be fresh.  The constructor
@@ -159,21 +159,22 @@ class Round:
             counts=self._counts.ctypes.data, label_sums=self._label_sums.ctypes.data,
             rounds=stats.T, cum_forecaster_score=stats.cum_forecaster_score,
             cum_oracle_score=stats.cum_oracle_score)
-        # the struct's fields that store copies back into shared, by name
-        s, shared, names = self._s, forecaster, ()
+        # the struct's fields that store copies back into the forecaster, by name
+        s, names = self._s, ()
         if mode == APPROACH:
             names = ("t",) + ORACLE_COUNTERS
             self._a = np.array(forecaster._a, dtype=float)
             s.a, s.b, s.diameter = self._a.ctypes.data, forecaster._b, forecaster._diameter
             s.nnz = forecaster._nnz
         elif mode == MW:
-            shared, names = forecaster.state, ("r", "t") + MW_COUNTERS
+            names = ("r", "t") + MW_COUNTERS
             self._h = np.empty(2 * (cfg.m + 1))  # mw_choose's two lines
-            s.u, s.rho, s.log_a = (v.ctypes.data for v in (shared.u, shared.rho, shared.log_a))
-            s.eta, s.h = shared.eta, self._h.ctypes.data
-        self._shared = shared, names
+            s.u, s.rho, s.log_a = (v.ctypes.data for v in
+                                   (forecaster.u, forecaster.rho, forecaster.log_a))
+            s.eta, s.h = forecaster.eta, self._h.ctypes.data
+        self._names = names
         for name in names:
-            setattr(s, name, getattr(shared, name))
+            setattr(s, name, getattr(forecaster, name))
         self._ref = ctypes.byref(self._s)
 
     def run(self, qs, ys, ps, lo: int, hi: int) -> None:
@@ -220,9 +221,8 @@ class Round:
         if self._mode == APPROACH:
             forecaster._a = self._a.tolist()
             forecaster._b, forecaster._nnz = s.b, s.nnz
-        shared, names = self._shared
-        for name in names:
-            setattr(shared, name, getattr(s, name))
+        for name in self._names:
+            setattr(forecaster, name, getattr(s, name))
         stats.counts = self._counts.tolist()
         stats.label_sums = self._label_sums.tolist()
         stats.T = s.rounds

@@ -158,7 +158,7 @@ UNIFORM_BLOCK = 256
 
 class PayoffLedger:
     """A forecaster's payoff ledger, the sum of every round's expected
-    payoff, and its sampler.
+    payoff, and its sampler; played as it is, the passthrough forecaster.
 
     The calibration block is an array that a round adds to through a
     view (Python floats, the same IEEE sums, at a fraction of numpy's
@@ -182,6 +182,19 @@ class PayoffLedger:
     @property
     def cum_payoff(self) -> PayoffVector:
         return PayoffVector(self._cum_cal.copy(), self.cum_reg)
+
+    def play(self, q: float, quote_scores):
+        """Play the grid point nearest q, keeping the support and
+        quote_scores, the round's (score(q, 0), score(q, 1)), for update."""
+        i = nearest_grid_index(q, self.cfg.m)
+        self._support = support = self.cfg.points[i]
+        self._quote_scores = quote_scores
+        return i, support
+
+    def update(self, y: int) -> None:
+        """Add the last play's payoff to the ledger."""
+        self.cum_reg += add_payoff(self.cfg, self._support, self._quote_scores[y], y,
+                                   self._cal_view)
 
     def _uniform(self) -> float:
         uniforms = self._uniforms

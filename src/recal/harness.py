@@ -18,13 +18,11 @@ from .geometry import (
     GameConfig,
     PayoffLedger,
     PayoffVector,
-    add_payoff,
     dist_to_target,
     game_config,
-    nearest_grid_index,
 )
 from .metrics import BucketStats, default_regret_slack
-from .mw_recalibrator import MW_COUNTERS, lifted_dimension, mw_choose, mw_init, mw_update
+from .mw_recalibrator import MW_COUNTERS, lifted_dimension, mw_init
 from .recalibrator import ORACLE_COUNTERS, RecalibratorState
 from .scoring import parse_rule, score_pair
 
@@ -225,55 +223,15 @@ class Trace:
         return self.checkpoints[-1]
 
 
-class _PassthroughForecaster(PayoffLedger):
-    """Plays the grid point nearest to each quote.
-
-    play keeps the play's support and quote_scores, the round's
-    (score(q, 0), score(q, 1)), for update, which adds the round's
-    payoff to the ledger.
-    """
-
-    def play(self, q: float, quote_scores):
-        i = nearest_grid_index(q, self.cfg.m)
-        self._support = support = self.cfg.points[i]
-        self._quote_scores = quote_scores
-        return i, support
-
-    def update(self, y: int) -> None:
-        self.cum_reg += add_payoff(self.cfg, self._support, self._quote_scores[y], y,
-                                   self._cal_view)
-
-
-class _MWForecaster(_PassthroughForecaster):
-    """Plays mw_choose's support, samples a grid point from it by
-    inverse CDF over the support in ascending order, and feeds the
-    support to mw_update."""
-
-    def __init__(self, cfg: GameConfig, T: int, rng):
-        super().__init__(cfg, rng)
-        self.state = mw_init(cfg, T)
-
-    def play(self, q: float, quote_scores):
-        self._support = support = mw_choose(self.state, q, quote_scores)
-        self._quote_scores = quote_scores
-        # a uniform every round, point masses included
-        return support[0][0] if self._uniform() < support[0][1] else support[-1][0], support
-
-    def update(self, y: int) -> None:
-        super().update(y)
-        mw_update(self.state, self._support, self._quote_scores[y], y)
-
-
 # Every forecaster, by name: make(GameConfig, T, rng) builds it, mode is
 # its compiled.Round mode (None: the Python round plays it), and
-# Trace.oracle reports the attributes in names of counters(forecaster).
-Forecaster = namedtuple("Forecaster", "make mode counters names")
+# Trace.oracle reports its attributes in names, its counters.
+Forecaster = namedtuple("Forecaster", "make mode names")
 FORECASTERS = {
     "approach": Forecaster(lambda g, T, rng: RecalibratorState(g, rng), compiled.APPROACH,
-                           lambda f: f, ORACLE_COUNTERS),
-    "mw": Forecaster(_MWForecaster, compiled.MW, operator.attrgetter("state"), MW_COUNTERS),
-    "passthrough": Forecaster(lambda g, T, rng: _PassthroughForecaster(g), compiled.PASSTHROUGH,
-                              None, ()),
+                           ORACLE_COUNTERS),
+    "mw": Forecaster(mw_init, compiled.MW, MW_COUNTERS),
+    "passthrough": Forecaster(lambda g, T, rng: PayoffLedger(g), compiled.PASSTHROUGH, ()),
 }
 
 
@@ -400,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     trace.stats = stats
     trace.round = "python" if lib is None else "compiled"
     if entry.names:
-        trace.oracle = {name: getattr(entry.counters(forecaster), name) for name in entry.names}
+        trace.oracle = {name: getattr(forecaster, name) for name in entry.names}
     trace.wall_time = time.perf_counter() - t_start
     return trace
 

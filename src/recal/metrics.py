@@ -37,8 +37,8 @@ class BucketStats:
 
     def record(self, p: float, q: float, y: int, rule: ScoringRule) -> "BucketStats":
         """Absorb one round by its forecast p: the checked form of add."""
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y}")
+        if not (isinstance(y, (int, np.integer)) and y in (0, 1)):
+            raise ValueError(f"label must be an integer 0 or 1, got {y!r}")
         self.add(nearest_grid_index(p, self.m), y, score(rule, p, y), score(rule, q, y))
         return self
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GameConfig, nearest_grid_index
+from .geometry import GameConfig, PayoffLedger, nearest_grid_index
 from .scoring import score, score_pair
 
 
@@ -30,8 +30,9 @@ def lifted_dimension(m: int) -> int:
 
 
 @dataclass(eq=False)
-class MWState:
-    """Log weights of the lifted coordinates.
+class MWState(PayoffLedger):
+    """The mw forecaster: log weights of the lifted coordinates, and a
+    payoff ledger.
 
     u[k] is eta times the cumulative loss of calibration coordinate k and
     r is eta times the cumulative regret.  A sign pattern sigma weighs
@@ -43,7 +44,10 @@ class MWState:
     history, so there is one numeric mode.  MW_COUNTERS count
     mw_choose's work.  The arrays mw_choose reads
     on every call (grid minus label, grid scores, the quote's score
-    column) are built once here.
+    column) are built once here.  play samples a grid point from
+    mw_choose's support by inverse CDF over the support in ascending
+    order, with a uniform from rng every round, and update adds the
+    play's payoff to the ledger, then takes mw_update's step.
     """
 
     cfg: GameConfig
@@ -53,6 +57,7 @@ class MWState:
     t: int = 0
     choose_steps: int = 0
     mixture_rounds: int = 0
+    rng: np.random.Generator | None = None
     rho: np.ndarray = field(init=False, repr=False)
     log_a: np.ndarray = field(init=False, repr=False)
     _views: tuple = field(init=False, repr=False)
@@ -62,6 +67,7 @@ class MWState:
 
     def __post_init__(self):
         cfg = self.cfg
+        PayoffLedger.__init__(self, cfg, self.rng)
         n = cfg.m + 1
         self.u = np.zeros(n) if self.u is None else np.array(self.u, dtype=float)
         if self.u.shape != (n,):
@@ -74,15 +80,25 @@ class MWState:
         self._scores = np.array([cfg.score0, cfg.score1])
         self._quote_column = np.empty((2, 1))
 
+    def play(self, q: float, quote_scores):
+        self._support = support = mw_choose(self, q, quote_scores)
+        self._quote_scores = quote_scores
+        # a uniform every round, point masses included
+        return support[0][0] if self._uniform() < support[0][1] else support[-1][0], support
 
-def mw_init(cfg: GameConfig, T: int) -> MWState:
+    def update(self, y: int) -> None:
+        super().update(y)
+        mw_update(self, self._support, self._quote_scores[y], y)
+
+
+def mw_init(cfg: GameConfig, T: int, rng=None) -> MWState:
     d = lifted_dimension(cfg.m)
     log_d = math.log(d)
     if T < log_d:
         raise ValueError(f"horizon T={T} is below ln(d) = {log_d:.3f} for m={cfg.m}")
     C = max(1.0, cfg.rule.lipschitz)
     eta = math.sqrt(log_d / (4.0 * T * C * C))
-    return MWState(cfg=cfg, eta=eta)
+    return MWState(cfg=cfg, eta=eta, rng=rng)
 
 
 def _support(cfg: GameConfig, x):

@@ -260,8 +260,8 @@ class RecalibratorState(PayoffLedger):
             raise ProtocolError("observe called without a pending predict")
         if q != self._pending_q:
             raise ProtocolError(f"observe q={q} does not match pending predict q={self._pending_q}")
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y}")
+        if not (isinstance(y, (int, np.integer)) and y in (0, 1)):
+            raise ValueError(f"label must be an integer 0 or 1, got {y!r}")
         self._pending_q = None
         self.update(y)
         return self

@@ -288,13 +288,12 @@ def test_trace_writer_memory_does_not_grow_with_T():
 
 def _pool_modules_after(argv) -> str:
     """The process-pool modules that cli.main(argv) leaves imported, run
-    in a fresh interpreter with RECAL_THREADS unset."""
+    in a fresh interpreter."""
     script = ("import sys, recal.cli; "
               f"assert recal.cli.main({argv!r}) == 0; "
               "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
               " if m in sys.modules])")
     env = dict(os.environ)
-    env.pop("RECAL_THREADS", None)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

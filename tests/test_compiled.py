@@ -14,7 +14,7 @@ import pytest
 
 from recal import compiled, harness
 from recal.cli import main as cli_main
-from recal.geometry import UNIFORM_BLOCK, min_grid_resolution
+from recal.geometry import UNIFORM_BLOCK, PayoffLedger, min_grid_resolution
 from recal.harness import ExperimentConfig, run_experiment
 from recal.metrics import default_regret_slack
 from recal.mw_recalibrator import MW_COUNTERS
@@ -64,9 +64,9 @@ def _assert_same_run(a, b):
         assert repr(getattr(sa, key)) == repr(getattr(sb, key)), key
     if ta.config.forecaster == "mw":
         for key in ("u", "rho", "log_a"):
-            assert getattr(sa.state, key).tobytes() == getattr(sb.state, key).tobytes(), key
+            assert getattr(sa, key).tobytes() == getattr(sb, key).tobytes(), key
         for key in MW_STATE:
-            assert repr(getattr(sa.state, key)) == repr(getattr(sb.state, key)), key
+            assert repr(getattr(sa, key)) == repr(getattr(sb, key)), key
     assert ta.oracle == tb.oracle
     # the same uniforms were drawn from the forecaster's generator
     if sa.rng is not None or sb.rng is not None:
@@ -174,8 +174,8 @@ def test_compiled_mw_round_matches_the_python_round(monkeypatch, rule):
                 slow = _run(monkeypatch, cfg, None)
                 assert (fast[0].round, slow[0].round) == ("compiled", "python")
                 _assert_same_run(fast, slow)
-                mixtures.append(slow[1].state.mixture_rounds)
-                steps.append(slow[1].state.choose_steps)
+                mixtures.append(slow[1].mixture_rounds)
+                steps.append(slow[1].choose_steps)
     # some play mixes two grid points, and some round crosses more than
     # one pair of lines
     assert max(mixtures) > 0, mixtures
@@ -233,7 +233,7 @@ def test_compiled_checkpoint_matches_the_python_checkpoint_on_built_states(m):
     delta = default_regret_slack(gcfg.rule, m)
     fn = compiled.library()
     for name, t, cal, reg, counts, label_sums, scores in _built_states(m):
-        ledger, stats = harness._PassthroughForecaster(gcfg), harness.BucketStats(m)
+        ledger, stats = PayoffLedger(gcfg), harness.BucketStats(m)
         ledger._cum_cal[:] = cal
         ledger.cum_reg = reg
         stats.counts, stats.label_sums, stats.T = counts, label_sums, t
@@ -243,10 +243,8 @@ def test_compiled_checkpoint_matches_the_python_checkpoint_on_built_states(m):
         assert repr(list(fast.checkpoint(delta))) == repr(list(slow.checkpoint(delta))), name
     # no rounds, no rates: the Python round's error
     stats = harness.BucketStats(m)
-    fast = compiled.Round(fn, compiled.PASSTHROUGH, harness._PassthroughForecaster(gcfg),
-                          stats, adversarial=False)
-    for rounds in (fast, harness._PythonRound(harness._PassthroughForecaster(gcfg), stats,
-                                              False)):
+    fast = compiled.Round(fn, compiled.PASSTHROUGH, PayoffLedger(gcfg), stats, adversarial=False)
+    for rounds in (fast, harness._PythonRound(PayoffLedger(gcfg), stats, False)):
         with pytest.raises(ValueError, match="no rounds recorded"):
             rounds.checkpoint(delta)
 
@@ -340,7 +338,7 @@ def test_a_sweep_loads_the_library_only_for_a_compiled_forecaster(monkeypatch):
     library = compiled.library
     monkeypatch.setattr(compiled, "library", lambda: calls.append(os.getpid()) or library())
     monkeypatch.setitem(harness.FORECASTERS, "last_point",
-                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
+                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, ()))
     for forecaster in harness.FORECASTERS:
         calls.clear()
         result = harness.sweep(ExperimentConfig(T=8, m=4, forecaster=forecaster), [8, 16, 32], 2)
@@ -422,7 +420,7 @@ def test_round_refuses_a_mode_that_does_not_fit_its_forecaster():
         compiled.Round(fn, compiled.APPROACH, state, stats, adversarial=True)
 
 
-class _LastPoint(harness._PassthroughForecaster):
+class _LastPoint(PayoffLedger):
     """A passthrough subclass that plays grid point m whatever the quote."""
 
     def play(self, q, quote_scores):
@@ -443,7 +441,7 @@ def test_a_forecaster_without_a_compiled_mode_plays_its_own_rounds_in_python(mon
     for name in harness.FORECASTERS:
         assert run_experiment(dataclasses.replace(cfg, forecaster=name)).round == "compiled"
     monkeypatch.setitem(harness.FORECASTERS, "last_point",
-                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, None, ()))
+                        harness.Forecaster(lambda g, T, rng: _LastPoint(g), None, ()))
     trace = run_experiment(dataclasses.replace(cfg, forecaster="last_point"))
     assert trace.round == "python"
     assert list(trace.p) == [1.0] * cfg.T

@@ -19,6 +19,7 @@ from recal.cli import _trace_blocks
 from recal.cli import main as cli_main
 from recal.geometry import (
     ForecastDistribution,
+    PayoffLedger,
     PayoffVector,
     dist_to_target,
     game_config,
@@ -370,7 +371,7 @@ def test_adversarial_run_snapshots_ledger_only_at_checkpoints(monkeypatch, forec
     # copy for each checkpoint and for the final trace; the compiled round
     # computes its checkpoints from its own state and takes the copy once,
     # for the final trace.
-    owner = RecalibratorState if forecaster == "approach" else harness._PassthroughForecaster
+    owner = RecalibratorState if forecaster == "approach" else PayoffLedger
     snapshot = owner.cum_payoff.fget
     reads = []
 
@@ -857,7 +858,7 @@ def test_sweep_slopes_on_synthetic_decay():
     }
 
 
-def test_a_pool_sweep_plays_each_job_once(monkeypatch):
+def test_a_sweep_plays_each_job_once(monkeypatch):
     # the jobs run in (T, seed) order in this process, each through the
     # module's _final_metrics, so a wrapper bound there sees every job once
     played = []

@@ -27,6 +27,21 @@ def test_record_buckets_by_nearest_grid_point():
     assert stats.T == 2
 
 
+def test_record_refuses_a_label_that_is_not_an_integer():
+    stats = _record_rounds(BucketStats(4), [(0.5, 0.5, 1), (0.25, 0.5, 0)])
+    before = repr(vars(stats))
+    for y in (1.0, np.True_, np.float64(1.0), 0.0, "1", None):
+        with pytest.raises(ValueError, match="integer 0 or 1"):
+            stats.record(0.5, 0.5, y, brier())
+        assert repr(vars(stats)) == before, y
+    # bools and numpy integers are integer labels
+    for y in (True, np.int64(1), np.int8(0)):
+        stats.record(0.75, 0.5, y, brier())
+    assert stats.counts == [0, 1, 1, 3, 0]
+    assert stats.label_sums == [0, 0, 1, 2, 0]
+    assert stats.T == 5
+
+
 def test_resolution_validated():
     with pytest.raises(ValueError):
         BucketStats(0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from recal import compiled, harness
+from recal import compiled, mw_recalibrator
 from recal.geometry import game_config, nearest_grid_index, unchecked_game_config
 from recal.harness import ExperimentConfig, run_experiment
 from recal.mw_recalibrator import (
@@ -508,9 +508,9 @@ def test_mw_run_matches_scalar_scan_run(monkeypatch, labels, oracle):
         _assert_same_value(state, q)
         return mw_choose(state, q, quote_scores)
 
-    # the binding _MWForecaster.play looks up at call time, in the Python
+    # the binding MWState.play looks up at call time, in the Python
     # round: the compiled round never calls mw_choose
-    monkeypatch.setattr(harness, "mw_choose", checked)
+    monkeypatch.setattr(mw_recalibrator, "mw_choose", checked)
     monkeypatch.setattr(compiled, "library", lambda: None)
     slow = run_experiment(cfg)
     assert len(calls) == cfg.T

@@ -212,6 +212,7 @@ for call, exc in (
      RuntimeError),
     (lambda: BucketStats(4).record(0.5, 0.5, 2, cfg.rule), ValueError),
     (lambda: state.observe(0.5, 2), ValueError),
+    (lambda: state.observe(0.5, 1.0), ValueError),
     (lambda: make_label_stream("periodic:012"), ConfigError),
     (lambda: make_oracle("noisy_truth:inf"), ConfigError),
     (lambda: make_oracle("constant:nan"), ConfigError),
@@ -340,6 +341,44 @@ def test_protocol_errors():
     state.observe(0.5, 1)
     with pytest.raises(ValueError):
         state.predict(-0.1)
+
+
+def _round_state(state) -> str:
+    return repr((state._a, state._b, state._nnz, state.t, state.cum_reg,
+                 state._cum_cal.tolist(), state._uniforms, state._pending_q,
+                 state.f_evals, state.mixture_rounds))
+
+
+def test_observe_refuses_a_label_that_is_not_an_integer_before_any_change():
+    # 1.0 and np.True_ equal 1, but only an integer label is one: the
+    # refusal comes before the pending quote is cleared, so the round
+    # can still be observed, as if the bad labels had never come
+    cfg = game_config(8, brier())
+    states = [RecalibratorState(cfg, 7) for _ in range(2)]
+    for state in states:
+        for q, y in ((0.3, 1), (0.8, 0), (0.55, 1)):
+            state.predict(q)
+            state.observe(q, y)
+        state.predict(0.4)
+    bad, good = states
+    for y in (1.0, np.True_, np.float64(1.0), 0.0, "1", None):
+        before = _round_state(bad)
+        with pytest.raises(ValueError, match="integer 0 or 1"):
+            observe(bad, 0.4, y)
+        assert _round_state(bad) == before, y
+    assert observe(bad, 0.4, 1) is bad
+    observe(good, 0.4, 1)
+    assert _round_state(bad) == _round_state(good)
+    assert bad.rng.random() == good.rng.random()
+    # bools and numpy integers are integer labels
+    for y in (True, np.int64(1), np.int8(1)):
+        state = RecalibratorState(cfg, 7)
+        state.predict(0.4)
+        state.observe(0.4, y)
+        ref = RecalibratorState(cfg, 7)
+        ref.predict(0.4)
+        ref.observe(0.4, 1)
+        assert _round_state(state) == _round_state(ref), y
 
 
 def test_module_level_wrappers():
